@@ -98,8 +98,10 @@ let table3 () =
       Sweeper.Report.print_table3_row r)
     apps;
   Printf.printf
-    "(wall-clock of this harness; the paper's ordering core-dump << membug \
-     < taint << slicing and first-VSEF << total is the reproduced shape)\n"
+    "(wall-clock of this harness; shape: core-dump << membug ~ taint < \
+     slicing, first-VSEF << total. The paper has slicing far ahead; one \
+     replay engine for all three analyses narrows it to ~2x taint, and on \
+     cvs the stream isolation in the taint column outweighs slicing)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: normal-execution overhead vs checkpoint interval          *)
@@ -1428,8 +1430,12 @@ let micro_taint () =
         r.Sweeper.Taint.t_instructions)
   in
   let oracle, _ =
-    replay_ns_per_instr trials mk Sweeper.Taint.Oracle.run (fun r ->
+    replay_ns_per_instr trials mk Oracle.Taint.run (fun r ->
         r.Sweeper.Taint.t_instructions)
+  in
+  let membug, _ =
+    replay_ns_per_instr trials mk Sweeper.Membug.run (fun r ->
+        r.Sweeper.Membug.m_instructions)
   in
   let slice, _ =
     replay_ns_per_instr trials mk Sweeper.Slice.run (fun r ->
@@ -1437,7 +1443,7 @@ let micro_taint () =
   in
   (* Cross-check: both taint engines must agree on the replay. *)
   let r1 = Sweeper.Taint.run (mk ()) in
-  let r2 = Sweeper.Taint.Oracle.run (mk ()) in
+  let r2 = Oracle.Taint.run (mk ()) in
   let agree =
     Sweeper.Taint.verdict_to_string r1.Sweeper.Taint.t_verdict
     = Sweeper.Taint.verdict_to_string r2.Sweeper.Taint.t_verdict
@@ -1448,8 +1454,9 @@ let micro_taint () =
   Printf.printf "taint, fused shadow-page engine : %8.1f ns/instr\n" fused;
   Printf.printf "taint, per-byte oracle engine   : %8.1f ns/instr (%.1fx)\n"
     oracle (oracle /. fused);
-  Printf.printf "backward slice (paged last-writer): %6.1f ns/instr\n" slice;
-  (fused, oracle, slice)
+  Printf.printf "memory-bug detection            : %8.1f ns/instr\n" membug;
+  Printf.printf "backward slice (trace + demand) : %8.1f ns/instr\n" slice;
+  (fused, oracle, membug, slice)
 
 (* ------------------------------------------------------------------ *)
 (* Static prefilter: hook points pruned by Static_an.Staint and what    *)
@@ -1646,8 +1653,8 @@ let merge_json_file file (fresh : (string * Obs.Json.t) list) =
   close_out oc
 
 let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
-    ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns
-    ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3 =
+    ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~membug_ns
+    ~slice_ns ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3 =
   let f x = Obs.Json.Float x in
   let tier_obj (b, fa, sl, n) =
     Obs.Json.Obj
@@ -1674,6 +1681,7 @@ let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
       ("ns_per_instr_taint_analysis", f taint_fused);
       ("ns_per_instr_taint_oracle", f taint_oracle);
       ("taint_speedup_x", f (taint_oracle /. taint_fused));
+      ("ns_per_instr_membug_analysis", f membug_ns);
       ("ns_per_instr_slice_analysis", f slice_ns);
       ("pages_copied_per_checkpoint", f pages_per_ck);
       ("checkpoints", Obs.Json.Int cks);
@@ -1764,13 +1772,13 @@ let micro () =
         tiers ) =
     micro_vm ()
   in
-  let taint_fused, taint_oracle, slice_ns = micro_taint () in
+  let taint_fused, taint_oracle, membug_ns, slice_ns = micro_taint () in
   let static_rows = micro_static () in
   let absint_rows, absint_guarded, absint_elided = micro_absint () in
   if !json_output then begin
     let table3 = table3_stage_rows () in
     write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
-      ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~slice_ns
+      ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~membug_ns ~slice_ns
       ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3
   end;
   section_header "Microbenchmarks (Bechamel)";

@@ -69,35 +69,88 @@ let vsef_of_finding ~app ~proc = function
         v_origin = Vsef.From_membug;
       }
 
+module Int_map = Map.Make (Int)
+module Int_set = Set.Make (Int)
+
 type state = {
   proc : Osim.Process.t;
+  code : Vm.Program.t;
   mutable findings : finding list;
-  reported : (int * int, unit) Hashtbl.t;
-      (** (kind tag, pc) pairs already reported — one finding per site *)
+  reported : Bytes.t;
+      (** per code index, one bit per finding kind already reported there *)
   (* Live return-address slots, keyed by address. Address keying (rather
      than a LIFO) self-corrects when the detector attaches mid-execution:
-     a returning frame always clears exactly its own slot. *)
-  ret_slots : (int, unit) Hashtbl.t;
-  (* Live and freed chunks (user ptr -> size / unit). *)
-  live : (int, int) Hashtbl.t;
-  freed : (int, unit) Hashtbl.t;
+     a returning frame always clears exactly its own slot. Slots inside
+     the stack region — every push lands there unless SP is corrupted —
+     are flags in [slot_bits] (byte [i] is address [slot_lo + i]); any
+     other slot goes to [slot_other]. *)
+  slot_lo : int;
+  slot_bits : Bytes.t;
+  slot_other : (int, unit) Hashtbl.t;
+  mutable live : int Int_map.t;  (** live chunks: user ptr -> size *)
+  mutable live_nested : bool;
+      (** some live chunk ever started inside another (only a corrupted
+          allocator does that); [in_live_chunk] then scans every chunk *)
+  mutable freed : Int_set.t;  (** freed chunks' user ptrs *)
   free_entry : int;  (** address of libc [free] *)
-  mutable icount : int;
 }
 
-(* Does a write of [size] bytes at [addr] overlap any live ret slot? The
-   candidate slots are the word-aligned... no — slots are plain addresses;
-   a write [addr, addr+size) overlaps slot s iff s-3 <= addr+size-1 and
-   s+3 >= addr, so probing the handful of addresses around the write is
-   enough and keeps the check O(1) per store. *)
+let set_slot st s live =
+  let i = s - st.slot_lo in
+  if i >= 0 && i < Bytes.length st.slot_bits then
+    Bytes.unsafe_set st.slot_bits i (if live then '\001' else '\000')
+  else if live then Hashtbl.replace st.slot_other s ()
+  else Hashtbl.remove st.slot_other s
+
+let is_slot st s =
+  let i = s - st.slot_lo in
+  if i >= 0 && i < Bytes.length st.slot_bits then
+    Bytes.unsafe_get st.slot_bits i <> '\000'
+  else Hashtbl.length st.slot_other > 0 && Hashtbl.mem st.slot_other s
+
+(* Does a write of [size] bytes at [addr] overlap a live return-address
+   slot? Slots are plain (not necessarily aligned) addresses, and a
+   4-byte slot s overlaps [addr, addr+size) iff addr-3 <= s < addr+size,
+   so probing those few addresses keeps the check O(1) per store. The
+   lowest overlapping slot is the one reported. *)
 let hit_slot st addr size =
   let rec probe s =
-    if s >= addr + size + 3 then None
-    else if Hashtbl.mem st.ret_slots s && addr < s + 4 && addr + size > s then
-      Some s
+    if s >= addr + size then None
+    else if is_slot st s then Some s
     else probe (s + 1)
   in
   probe (addr - 3)
+
+(* Chunks are found by an ordered lookup: the chunk with the greatest
+   start at or below [addr] is the only candidate, provided no chunk
+   starts inside another — which [add_live] checks on every insertion
+   (the predecessor must end at or before the new start, and the
+   successor must start at or after the new end). *)
+let add_live st ptr size =
+  let live = Int_map.add ptr size st.live in
+  (match Int_map.find_last_opt (fun p -> p < ptr) live with
+  | Some (p, sz) when p + sz > ptr -> st.live_nested <- true
+  | _ -> ());
+  (match Int_map.find_first_opt (fun p -> p > ptr) live with
+  | Some (p, _) when ptr + size > p -> st.live_nested <- true
+  | _ -> ());
+  st.live <- live
+
+let in_live_chunk st addr =
+  if st.live_nested then
+    Int_map.exists (fun ptr size -> addr >= ptr && addr < ptr + size) st.live
+  else
+    match Int_map.find_last_opt (fun ptr -> ptr <= addr) st.live with
+    | Some (ptr, size) -> addr < ptr + size
+    | None -> false
+
+(* Within 8 bytes of a freed chunk's user pointer. All windows have the
+   same width, so the greatest pointer at or below [addr + 8] is the only
+   candidate. *)
+let in_freed_chunk st addr =
+  match Int_set.find_last_opt (fun ptr -> ptr - 8 <= addr) st.freed with
+  | Some ptr -> addr < ptr + 8
+  | None -> false
 
 let seed_from_image st =
   (* Pre-existing frames from the frame-pointer chain. *)
@@ -110,7 +163,7 @@ let seed_from_image st =
       || fp >= layout.Vm.Layout.stack_top
     then ()
     else begin
-      Hashtbl.replace st.ret_slots (fp + 4) ();
+      set_slot st (fp + 4) true;
       walk (Vm.Memory.load_word p.mem fp) (n + 1)
     end
   in
@@ -119,8 +172,8 @@ let seed_from_image st =
   List.iter
     (fun (c : Vm.Alloc.chunk) ->
       match c.c_state with
-      | Vm.Alloc.Chunk_alloc -> Hashtbl.replace st.live c.c_ptr c.c_size
-      | Vm.Alloc.Chunk_freed -> Hashtbl.replace st.freed c.c_ptr ()
+      | Vm.Alloc.Chunk_alloc -> add_live st c.c_ptr c.c_size
+      | Vm.Alloc.Chunk_freed -> st.freed <- Int_set.add c.c_ptr st.freed
       | Vm.Alloc.Chunk_corrupt _ -> ())
     (Vm.Alloc.chunks p.mem p.layout)
 
@@ -128,114 +181,171 @@ let heap_region st addr =
   addr >= st.proc.Osim.Process.layout.Vm.Layout.heap_base
   && addr < st.proc.Osim.Process.layout.Vm.Layout.heap_max
 
-let in_live_chunk st addr =
-  Hashtbl.fold
-    (fun ptr size acc -> acc || (addr >= ptr && addr < ptr + size))
-    st.live false
-
-let in_freed_chunk st addr =
-  Hashtbl.fold (fun ptr () acc -> acc || (addr >= ptr - 8 && addr < ptr + 8)) st.freed false
-
 (* Allocator bookkeeping words live at the start of the heap; stores there
    from the libc wrappers are legitimate. *)
 let is_alloc_bookkeeping st addr =
   addr < Vm.Alloc.arena_start st.proc.Osim.Process.layout
 
 (* One finding per (bug kind, instruction): the same overflowing store
-   fires once, not once per byte. *)
-let report st kind_tag pc f =
-  if not (Hashtbl.mem st.reported (kind_tag, pc)) then begin
-    Hashtbl.replace st.reported (kind_tag, pc) ();
-    st.findings <- f :: st.findings
+   fires once, not once per byte. [reported] holds one bit per kind for
+   each code index; the checks below take the code index and build a
+   finding only when the (kind, instruction) pair is new. *)
+let k_smash = 0
+let k_dangling = 1
+let k_overflow = 2
+let k_double_free = 3
+
+let is_new st kind idx =
+  Char.code (Bytes.unsafe_get st.reported idx) land (1 lsl kind) = 0
+
+let report st kind idx f =
+  let b = Char.code (Bytes.unsafe_get st.reported idx) in
+  Bytes.unsafe_set st.reported idx (Char.chr (b lor (1 lsl kind)));
+  st.findings <- f :: st.findings
+
+let pc st idx = Engine.pc st.code idx
+
+(* 1. Stack smashing: a store or push (not a call's own push) into a live
+   return-address slot. *)
+let check_smash st idx addr size =
+  match hit_slot st addr size with
+  | Some slot when is_new st k_smash idx ->
+    report st k_smash idx (Stack_smash { store_pc = pc st idx; slot_addr = slot })
+  | _ -> ()
+
+(* 2. Heap overflow / dangling writes: stores into the heap that land in
+   no live chunk. *)
+let check_heap st idx addr =
+  if
+    heap_region st addr
+    && (not (is_alloc_bookkeeping st addr))
+    && not (in_live_chunk st addr)
+  then
+    let kind = if in_freed_chunk st addr then k_dangling else k_overflow in
+    if is_new st kind idx then
+      report st kind idx
+        (if kind = k_dangling then Dangling_write { store_pc = pc st idx; addr }
+         else Heap_overflow { store_pc = pc st idx; addr })
+
+let check_store st idx addr size =
+  check_smash st idx addr size;
+  check_heap st idx addr
+
+(* 3. Shadow ret-slot maintenance + double-free checks at calls: [new_sp]
+   is the pushed return-address slot, [target] the callee. *)
+let on_call st idx ~new_sp ~target =
+  set_slot st new_sp true;
+  if target = st.free_entry then begin
+    (* arg0 sits just above the pushed return address *)
+    let ptr = Vm.Memory.load_word st.proc.Osim.Process.mem (new_sp + 4) in
+    if ptr <> 0 && Int_set.mem ptr st.freed && is_new st k_double_free idx then
+      report st k_double_free idx (Double_free { call_pc = pc st idx; ptr })
   end
 
+(* The instrumented path: syscalls and declined instructions, or every
+   instruction when foreign hooks force the hooked interpreter. *)
 let on_effect st (eff : Vm.Event.effect_) =
-  st.icount <- st.icount + 1;
-  (* 1. Stack smashing: a store (not the call's own push) into a live
-     return-address slot. *)
+  let idx = Engine.index st.code eff.e_pc in
   (match eff.e_ctrl with
   | Vm.Event.Call_to -> ()
   | _ ->
     List.iter
-      (fun (a : Vm.Event.access) ->
-        match hit_slot st a.a_addr a.a_size with
-        | Some slot ->
-          report st 0 eff.e_pc
-            (Stack_smash { store_pc = eff.e_pc; slot_addr = slot })
-        | None -> ())
+      (fun (a : Vm.Event.access) -> check_smash st idx a.a_addr a.a_size)
       eff.e_mem_writes);
-  (* 2. Heap overflow / dangling writes: stores into the heap that land in
-     no live chunk. *)
   (match eff.e_instr with
   | Vm.Isa.Store _ | Vm.Isa.Storeb _ ->
     List.iter
-      (fun (a : Vm.Event.access) ->
-        if heap_region st a.a_addr && not (is_alloc_bookkeeping st a.a_addr)
-           && not (in_live_chunk st a.a_addr)
-        then
-          if in_freed_chunk st a.a_addr then
-            report st 1 eff.e_pc
-              (Dangling_write { store_pc = eff.e_pc; addr = a.a_addr })
-          else
-            report st 2 eff.e_pc
-              (Heap_overflow { store_pc = eff.e_pc; addr = a.a_addr }))
+      (fun (a : Vm.Event.access) -> check_heap st idx a.a_addr)
       eff.e_mem_writes
   | _ -> ());
-  (* 3. Shadow ret-slot maintenance + double-free checks at calls. *)
   (match eff.e_ctrl with
   | Vm.Event.Call_to ->
-    let target = eff.e_ctrl_a in
     let new_sp =
       match Vm.Event.written_value eff Vm.Isa.SP with
       | Some v -> v
       | None -> Vm.Cpu.get_reg st.proc.Osim.Process.cpu Vm.Isa.SP
     in
-    Hashtbl.replace st.ret_slots new_sp ();
-    if target = st.free_entry then begin
-      (* arg0 sits just above the pushed return address *)
-      let ptr = Vm.Memory.load_word st.proc.Osim.Process.mem (new_sp + 4) in
-      if ptr <> 0 && Hashtbl.mem st.freed ptr then
-        report st 3 eff.e_pc (Double_free { call_pc = eff.e_pc; ptr })
-    end
+    on_call st idx ~new_sp ~target:eff.e_ctrl_a
   | Vm.Event.Ret_to ->
     (* The slot being consumed is the address the return popped from. *)
     List.iter
-      (fun (a : Vm.Event.access) -> Hashtbl.remove st.ret_slots a.a_addr)
+      (fun (a : Vm.Event.access) -> set_slot st a.a_addr false)
       eff.e_mem_reads
   | _ -> ());
   (* 4. Allocation tracking from syscall effects. *)
   match eff.e_sys with
   | Vm.Event.Io_alloc { ptr; size } ->
-    Hashtbl.replace st.live ptr size;
-    Hashtbl.remove st.freed ptr
+    add_live st ptr size;
+    st.freed <- Int_set.remove ptr st.freed
   | Vm.Event.Io_free { ptr; status = `Ok } ->
-    Hashtbl.remove st.live ptr;
-    Hashtbl.replace st.freed ptr ()
+    st.live <- Int_map.remove ptr st.live;
+    st.freed <- Int_set.add ptr st.freed
   | _ -> ()
 
-(** Attach the detector to [proc], run until the process faults, blocks or
-    halts (or [fuel] runs out), and detach. Call after rolling back to a
-    checkpoint with the network log in replay mode. *)
+(* The fast path: membug acts only at stores, pushes, calls and returns,
+   with the engine's effective address — the written word, the pushed
+   slot, or the popped return-address slot. A call has retired, so the
+   pc is its target. *)
+let plan_of_instr _ (i : Vm.Isa.instr) =
+  match i with
+  | Store _ -> 1
+  | Storeb _ -> 2
+  | Push _ -> 3
+  | Call _ | CallInd _ -> 4
+  | Ret -> 5
+  | Mov _ | Bin _ | Not _ | Neg _ | Load _ | Loadb _ | Pop _ | Cmp _ | Jmp _
+  | Jcc _ | Syscall _ | Halt | Nop ->
+    0
+
+let act st =
+  let cpu = st.proc.Osim.Process.cpu in
+  fun p ea idx ->
+    match p land 7 with
+    | 1 (* k_store *) -> check_store st idx ea 4
+    | 2 (* k_storeb *) -> check_store st idx ea 1
+    | 3 (* k_push *) -> check_smash st idx ea 4
+    | 4 (* k_call *) ->
+      on_call st idx ~new_sp:ea ~target:cpu.Vm.Cpu.pc
+    | _ (* k_ret *) -> set_slot st ea false
+
+(** Replay [proc] on the {!Engine} with the detector attached, until the
+    process faults, blocks or halts (or [fuel] runs out). Call after
+    rolling back to a checkpoint with the network log in replay mode. *)
 let run ?(fuel = 20_000_000) (proc : Osim.Process.t) : report =
+  let cpu = proc.Osim.Process.cpu in
+  let code = cpu.Vm.Cpu.code in
   let st =
     {
       proc;
+      code;
       findings = [];
-      reported = Hashtbl.create 16;
-      ret_slots = Hashtbl.create 64;
-      live = Hashtbl.create 64;
-      freed = Hashtbl.create 64;
+      reported = Bytes.make (Vm.Program.length code) '\000';
+      slot_lo = proc.layout.Vm.Layout.stack_limit;
+      slot_bits =
+        Bytes.make
+          (proc.layout.Vm.Layout.stack_top - proc.layout.Vm.Layout.stack_limit)
+          '\000';
+      slot_other = Hashtbl.create 8;
+      live = Int_map.empty;
+      live_nested = false;
+      freed = Int_set.empty;
       free_entry = Vm.Asm.symbol proc.lib_image "free";
-      icount = 0;
     }
   in
   seed_from_image st;
-  let hook = Vm.Cpu.add_post_hook proc.cpu (on_effect st) in
-  let outcome = Vm.Cpu.run ~fuel proc.cpu in
-  Vm.Cpu.remove_hook proc.cpu hook;
+  let before = cpu.Vm.Cpu.icount in
+  let outcome =
+    Engine.run ~fuel
+      {
+        Engine.plans = Engine.plans code plan_of_instr;
+        act = act st;
+        on_effect = on_effect st;
+      }
+      cpu
+  in
   let fault = match outcome with Vm.Cpu.Faulted f -> Some f | _ -> None in
   {
     m_findings = List.rev st.findings;
     m_fault = fault;
-    m_instructions = st.icount;
+    m_instructions = cpu.Vm.Cpu.icount - before;
   }

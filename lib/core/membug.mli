@@ -28,6 +28,7 @@ val vsef_of_finding :
     for making the check relocatable. *)
 
 val run : ?fuel:int -> Osim.Process.t -> report
-(** Attach the detector, run until the process faults, blocks or halts,
-    and detach. Call after rolling back with the network log in replay
-    mode. *)
+(** Replay on the {!Engine} with the detector attached — it acts only at
+    stores, pushes, calls and returns, plus allocation syscalls — until the
+    process faults, blocks or halts. Call after rolling back with the
+    network log in replay mode. *)

@@ -1,17 +1,20 @@
-(** Dynamic slicing over a full dependence graph.
+(** Dynamic slicing over a compact replay trace.
 
-    During replay every executed instruction becomes a node: data
-    dependences through the last writer of each register and memory byte,
-    flag dependences through the last comparison, control dependences
-    through the last branch. The backward slice from the faulting
-    instruction is everything that influenced it — a superset of what
-    taint analysis sees, which is why it acts as the sanity check on every
-    other analysis. Forward slices (everything an input influenced) come
-    from the same graph. *)
+    During replay the {!Engine} records one packed entry per dynamic
+    instruction (its code index and effective address; receives point at a
+    side record). The backward slice from the faulting instruction is then
+    computed offline by a backward demand walk over that trace: an
+    instruction is in the slice iff it is the nearest earlier writer of a
+    register, memory byte, or the flags or branch pseudo-location that an
+    instruction already in the slice reads — reachability in the dynamic
+    dependence graph (data, flag and control dependences), without building
+    the graph. The slice is a superset of what taint analysis sees, which
+    is why it acts as the sanity check on every other analysis. Forward
+    slices (everything an input influenced) come from the same trace. *)
 
 module Int_set : Set.S with type elt = int and type t = Set.Make(Int).t
 
-(** The collected graph (opaque; kept inside a {!session}). *)
+(** The recorded trace (opaque; kept inside a {!session}). *)
 type t
 
 type summary = {
@@ -28,8 +31,9 @@ type result = {
 }
 
 val run : ?fuel:int -> Osim.Process.t -> result
-(** Attach the graph collector, run the replay, slice backward from the
-    fault (or from the final instruction if the replay ended cleanly). *)
+(** Record the replay, slice backward from the fault (or from the final
+    instruction if the replay ended cleanly). The projection of
+    {!run_session}. *)
 
 val verifies : summary -> int -> bool
 (** Does the slice contain an instruction another analysis blamed? The
@@ -41,9 +45,9 @@ type forward = {
   fw_pcs : Int_set.t;  (** static instructions influenced *)
 }
 
-(** A replay that keeps its graph for further queries. *)
+(** A replay that keeps its trace for further queries. *)
 type session = {
-  graph : t;
+  trace : t;
   outcome : Vm.Cpu.outcome;
   backward : summary;
 }

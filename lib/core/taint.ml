@@ -20,17 +20,15 @@
       that have ever held taint, with a one-entry TLB over the page table.
       Tainting a received buffer is a range fill; clean stores to pages
       that never saw taint are a no-op.
-    - {e A fused run loop.} {!run} does not pay the generic effect-record
-      instrumentation cost per instruction: it reuses the interpreter's
-      uninstrumented executor ({!Vm.Cpu.exec_fast}) for machine semantics
-      and applies the shadow updates inline, dropping to the hooked
-      instrumented path only for syscalls and faulting instructions. The
-      hook-based entry points ({!on_effect}, {!guard}) remain for online
-      monitors (sampling) and for differential testing.
+    - {e A fused run loop.} {!run} is a client of {!Engine}: machine
+      semantics come from the interpreter's uninstrumented executor, and
+      the shadow updates are applied inline at the instructions whose
+      pre-decoded plan says they can move taint. Syscalls and faulting
+      instructions take the instrumented path. The hook-based entry points
+      ({!on_effect}, {!guard}) remain for online monitors (sampling).
 
-    {!Oracle} is the original per-byte hashtable engine, kept verbatim as
-    the reference implementation the fast engine is differentially tested
-    against (see [test/test_taint_diff.ml]). *)
+    The original per-byte hashtable engine is kept under [test/] as the
+    reference this one is differentially tested against. *)
 
 module Int_set = Set.Make (Int)
 
@@ -142,34 +140,27 @@ type t = {
   mutable tlb : int array;
   mutable neg_idx : int;   (** page index known absent, or -1 *)
   reg_taint : int array;   (** label id per register *)
-  prop_mask : Bytes.t array;
-      (** parallel to code segments: non-zero bytes mark instructions that
-          moved taint (the static prop set, maintained O(1) per mark) *)
-  plans : int array array;
-      (** parallel to code segments: the pre-decoded taint micro-op of each
-          instruction (see [plan_of_instr]), so the fused loop dispatches
-          on a small int instead of destructuring the instruction *)
+  code : Vm.Program.t;
+  prop_mask : Bytes.t;
+      (** per code index: non-zero marks an instruction that moved taint *)
+  plans : int array;  (** {!Engine} plan words: see [plan_of_instr] *)
   mutable any_taint : bool;  (** false until the first tainted byte exists *)
   mutable sources_seen : Int_set.t;  (** message ids read *)
   mutable trip_static : Static_an.Staint.t option;
-      (** [Some] while running with statically pruned plans: the fused
-          loop checks every retired [Ret]'s landing pc against this
-          analysis's return-site set and reverts to full instrumentation
-          on a miss (see [unprune]); [None] once tripped or when running
-          unpruned *)
-  trip_ret : Bytes.t array;
-      (** per-segment return-site masks, parallel to the code segments,
-          prefetched from the static result so the fused loop's [k_ret]
-          check is one byte load in the common same-segment case;
-          all-empty when running unpruned (no plan is ever [k_ret], so
-          the masks are never consulted) *)
+      (** [Some] while running with statically pruned plans: every retired
+          [Ret]'s landing pc is checked against this analysis's
+          return-site set, reverting to full instrumentation on a miss
+          (see [unprune]); [None] once tripped or when running unpruned *)
+  trip_ret : Bytes.t;
+      (** per code index: the static return-site mask (empty unpruned) *)
 }
 
-(* The taint-relevant content of one instruction, packed into one
-   immediate: bits 0-3 the kind, 4-7 the destination/value register index,
-   8-11 the source/base register index, 12+ the signed memory offset.
-   Register indices come from [Isa.reg_index] (total, < 16), so the fused
-   loop indexes the shadow register file without further decoding. *)
+(* The taint-relevant content of one instruction: the client bits of its
+   {!Engine} plan word. Bits 0-3 the kind, 4-7 the destination/value
+   register index, 8-11 the source register index; memory operands come
+   from the engine's effective address. Register indices come from
+   [Isa.reg_index] (total, < 16), so the fused loop indexes the shadow
+   register file without further decoding. *)
 let k_exec = 0      (* no taint effect: Cmp, jumps, Ret, Halt, Nop, Syscall *)
 let k_mov_const = 1 (* rd becomes clean *)
 let k_mov_reg = 2   (* rd := taint of rs *)
@@ -184,51 +175,59 @@ let k_push_const = 10
 let k_pop = 11
 let k_call = 12     (* pushed return-address slot becomes clean *)
 
-(* Pruned plans only: [Ret] plus the return-site tripwire. [Ret] is
-   outside [K] (its dynamic update is a no-op), so the static model's
-   one optimistic assumption — returns land on return sites — is
-   checked on this kind, after the landing pc is committed. A miss
-   (including a landing outside any segment, which the next dispatch
-   faults on anyway) reverts to full instrumentation before the
-   landed-on instruction executes, so no un-hooked pc ever runs outside
-   the checked assumption. Keeping the check inside the plan dispatch
-   (rather than re-matching the instruction after every step) makes the
-   pruned loop's per-instruction cost identical to the global one
-   everywhere except at an actual [Ret]. *)
+(* Pruned plans only: [Ret] (outside [K]; its update is a no-op) with the
+   return-site tripwire. The static model's one optimistic assumption —
+   returns land on return sites — is checked after the landing pc is
+   committed; a miss (including a landing outside any segment) reverts to
+   full instrumentation before the landed-on instruction executes. *)
 let k_ret = 13
 
-let pack kind a b off =
-  kind lor (a lsl 4) lor (b lsl 8) lor (off lsl 12)
+let pack kind a b = kind lor (a lsl 4) lor (b lsl 8)
 
 let plan_of_instr (i : Vm.Isa.instr) =
   let open Vm.Isa in
   let ri = reg_index in
   match i with
-  | Mov (rd, Reg rs) -> pack k_mov_reg (ri rd) (ri rs) 0
-  | Mov (rd, (Imm _ | Sym _)) -> pack k_mov_const (ri rd) 0 0
-  | Bin (_, rd, Reg rs) -> pack k_bin_reg (ri rd) (ri rs) 0
-  | Bin (_, rd, (Imm _ | Sym _)) | Not rd | Neg rd -> pack k_mark_rd (ri rd) 0 0
-  | Load (rd, rs, off) -> pack k_load (ri rd) (ri rs) off
-  | Loadb (rd, rs, off) -> pack k_loadb (ri rd) (ri rs) off
-  | Store (rb, off, rs) -> pack k_store (ri rs) (ri rb) off
-  | Storeb (rb, off, rs) -> pack k_storeb (ri rs) (ri rb) off
-  | Push (Reg rs) -> pack k_push_reg 0 (ri rs) 0
-  | Push (Imm _ | Sym _) -> pack k_push_const 0 0 0
-  | Pop rd -> pack k_pop (ri rd) 0 0
-  | Call _ | CallInd _ -> pack k_call 0 0 0
+  | Mov (rd, Reg rs) -> pack k_mov_reg (ri rd) (ri rs)
+  | Mov (rd, (Imm _ | Sym _)) -> pack k_mov_const (ri rd) 0
+  | Bin (_, rd, Reg rs) -> pack k_bin_reg (ri rd) (ri rs)
+  | Bin (_, rd, (Imm _ | Sym _)) | Not rd | Neg rd -> pack k_mark_rd (ri rd) 0
+  | Load (rd, _, _) -> pack k_load (ri rd) 0
+  | Loadb (rd, _, _) -> pack k_loadb (ri rd) 0
+  | Store (_, _, rs) -> pack k_store (ri rs) 0
+  | Storeb (_, _, rs) -> pack k_storeb (ri rs) 0
+  | Push (Reg rs) -> pack k_push_reg (ri rs) 0
+  | Push (Imm _ | Sym _) -> k_push_const
+  | Pop rd -> pack k_pop (ri rd) 0
+  | Call _ | CallInd _ -> k_call
   | Cmp _ | Jmp _ | Jcc _ | Ret | Syscall _ | Halt | Nop -> k_exec
+
+let full_plan _ i = plan_of_instr i
 
 (* [static] prunes the plans as they are built: every pc outside the
    static must-hook set [K] gets [k_exec] (execute, no shadow work).
-   [Staint]'s contract makes this invisible — at any pc outside [K] the
-   dynamic update is the identity on every state the tracker can reach,
-   given the return-site tripwire the fused loop arms off [trip_static] —
-   and folding it into plan construction keeps the pruned tracker's setup
-   cost identical to the unpruned one (the plans are one pass over the
-   code either way; replays can be a few thousand instructions, so an
-   extra O(code) pass would be visible in ns/instr). *)
+   [Staint]'s contract makes this invisible — outside [K] the update is
+   the identity on every reachable state, given the return-site
+   tripwire — and the plans are one pass over the code either way. *)
 let create ?static proc =
   let code = proc.Osim.Process.cpu.Vm.Cpu.code in
+  let per_segment f =
+    Bytes.concat Bytes.empty
+      (Array.to_list (Array.mapi (fun si _ -> f si) code.Vm.Program.segments))
+  in
+  let plans, trip_ret =
+    match static with
+    | None -> (Engine.plans code full_plan, Bytes.empty)
+    | Some sa ->
+      let hooks = per_segment (Static_an.Staint.hook_mask sa) in
+      ( Engine.plans code (fun idx instr ->
+            match instr with
+            | Vm.Isa.Ret -> k_ret (* arms the return-site tripwire *)
+            | _ ->
+              if Bytes.get hooks idx = '\000' then k_exec
+              else plan_of_instr instr),
+        per_segment (Static_an.Staint.ret_site_mask sa) )
+  in
   {
     proc;
     labels = labels_create ();
@@ -237,39 +236,13 @@ let create ?static proc =
     tlb = no_page;
     neg_idx = -1;
     reg_taint = Array.make Vm.Isa.num_regs 0;
-    prop_mask =
-      Array.map
-        (fun s -> Bytes.make (Array.length s.Vm.Program.seg_instrs) '\000')
-        code.Vm.Program.segments;
-    plans =
-      (match static with
-      | None ->
-        Array.map
-          (fun s -> Array.map plan_of_instr s.Vm.Program.seg_instrs)
-          code.Vm.Program.segments
-      | Some sa ->
-        Array.mapi
-          (fun si s ->
-            let hooks = Static_an.Staint.hook_mask sa si in
-            Array.mapi
-              (fun i instr ->
-                match instr with
-                | Vm.Isa.Ret -> k_ret (* arms the return-site tripwire *)
-                | _ ->
-                  if Bytes.get hooks i = '\000' then k_exec
-                  else plan_of_instr instr)
-              s.Vm.Program.seg_instrs)
-          code.Vm.Program.segments);
+    code;
+    prop_mask = Bytes.make (Array.length plans) '\000';
+    plans;
     any_taint = false;
     sources_seen = Int_set.empty;
     trip_static = static;
-    trip_ret =
-      (match static with
-      | None -> Array.map (fun _ -> Bytes.empty) code.Vm.Program.segments
-      | Some sa ->
-        Array.mapi
-          (fun si _ -> Static_an.Staint.ret_site_mask sa si)
-          code.Vm.Program.segments);
+    trip_ret;
   }
 
 (* Label id of one shadow byte. Absent pages are all-clean; the one-entry
@@ -428,38 +401,20 @@ let fill_range st addr len id =
   end
 
 (* Mark pc as a taint-propagating instruction: one byte store in the
-   per-segment mask. Instruction size is 4 (asserted) so the index is a
-   shift, like the interpreter's own dispatch. *)
-let () = assert (Vm.Isa.instr_size = 4)
-
-let rec mark_in segs masks pc i =
-  if i < Array.length segs then begin
-    let s = Array.unsafe_get segs i in
-    if pc >= s.Vm.Program.seg_base && pc < s.Vm.Program.seg_limit then
-      Bytes.unsafe_set
-        (Array.unsafe_get masks i)
-        ((pc - s.Vm.Program.seg_base) lsr 2)
-        '\001'
-    else mark_in segs masks pc (i + 1)
-  end
-
+   code-indexed mask. *)
 let mark st pc =
-  mark_in st.proc.Osim.Process.cpu.Vm.Cpu.code.Vm.Program.segments st.prop_mask
-    pc 0
+  let idx = Engine.index st.code pc in
+  if idx >= 0 then Bytes.unsafe_set st.prop_mask idx '\001'
 
 let mark_if st id pc = if id <> 0 then mark st pc
 
-(** The marked propagation pcs, ascending (segments are sorted by base). *)
+(** The marked propagation pcs, ascending (code indices follow segment
+    base order). *)
 let prop_pcs_list st =
-  let segs = st.proc.Osim.Process.cpu.Vm.Cpu.code.Vm.Program.segments in
   let acc = ref [] in
-  for si = Array.length segs - 1 downto 0 do
-    let mask = st.prop_mask.(si) in
-    let base = segs.(si).Vm.Program.seg_base in
-    for ii = Bytes.length mask - 1 downto 0 do
-      if Bytes.unsafe_get mask ii <> '\000' then
-        acc := base + (ii lsl 2) :: !acc
-    done
+  for idx = Bytes.length st.prop_mask - 1 downto 0 do
+    if Bytes.unsafe_get st.prop_mask idx <> '\000' then
+      acc := Engine.pc st.code idx :: !acc
   done;
   !acc
 
@@ -628,261 +583,107 @@ let verdict_to_string = function
   | No_fault -> "no fault during monitored replay"
 
 (* ------------------------------------------------------------------ *)
-(* Fused replay loop                                                   *)
+(* Fused replay: the Engine client                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The replay workhorse. Machine semantics come from [Cpu.exec_fast] —
-   never re-implemented here — and the shadow updates mirror {!on_effect}
-   exactly (the differential suite holds the two to account). Taint inputs
-   that depend on pre-execution state (addresses, the pc) are computed
-   before [exec_fast] runs and applied only if it succeeds; when it
-   declines (syscalls, anything that would fault) the instruction re-runs
-   on the instrumented path, where the registered [on_effect] post-hook
-   sees it — or, for a fault, nothing does, matching post-commit hook
-   semantics. *)
-
-let slow cpu = ignore (Vm.Cpu.step cpu : Vm.Event.effect_)
-
-let sp_idx = Vm.Isa.reg_index Vm.Isa.SP
-
-(* Segment-pinned inner loop (the shape of the interpreter's own fast
-   dispatch): while the pc stays inside [s], decode by direct indexing.
-   Returns the remaining fuel — unchanged iff no progress was made.
-
-   Machine semantics always come from [Cpu.exec_fast]; when it declines
-   (syscalls — including the recv that introduces the first taint — and
-   anything that would fault) the instruction re-runs on the hooked path,
-   where the registered [on_effect] post-hook sees it. The propagation
-   itself dispatches on the pre-decoded plan int; [mask] is this segment's
-   slab of [prop_mask] so marking a propagation site is one byte store.
-   Taint inputs that depend on pre-execution state (addresses from
-   registers) are read before [exec_fast] and applied only if it ran. *)
 (* Return-site tripwire miss: a [Ret] landed off the statically assumed
    return-site set (a hijacked or otherwise corrupted return address).
-   Restore the pristine taint plans in place — the fused loop reads plan
-   words through the same arrays, so the restoration is visible to the
-   burst already in flight — and stop checking: from here on every
+   Restore the pristine taint plans in place — the engine reads plan
+   words through the same array, so the restoration is visible to the
+   replay already in flight — and stop checking: from here on every
    instruction runs fully instrumented, which is trivially identical to
    the unpruned tracker. *)
 let unprune st =
-  let segs = st.proc.Osim.Process.cpu.Vm.Cpu.code.Vm.Program.segments in
-  Array.iteri
-    (fun si s ->
-      let plan = st.plans.(si) in
-      Array.iteri
-        (fun i instr -> plan.(i) <- plan_of_instr instr)
-        s.Vm.Program.seg_instrs)
-    segs;
+  Engine.replan st.code st.plans full_plan;
   st.trip_static <- None
 
 (* The [k_ret] check: the landing pc (already committed by the [Ret])
    must be a statically known return site, else the pruned plans stop
-   being trustworthy and [unprune] restores full instrumentation. *)
-let check_return_site st cpu =
+   being trustworthy and [unprune] restores full instrumentation. A
+   mapped landing is one byte load in the prefetched mask; an unmapped
+   or misaligned one takes the analysis's own test, which reaches the
+   same verdict. *)
+let ret_check st =
   match st.trip_static with
-  | Some sa when not (Static_an.Staint.is_return_site sa cpu.Vm.Cpu.pc) ->
-    unprune st
-  | _ -> ()
+  | None -> ()
+  | Some sa ->
+    let pc = st.proc.Osim.Process.cpu.Vm.Cpu.pc in
+    let idx = Engine.index st.code pc in
+    if
+      (idx >= 0 && Bytes.unsafe_get st.trip_ret idx = '\000')
+      || (idx < 0 && not (Static_an.Staint.is_return_site sa pc))
+    then unprune st
 
-(* Same-segment fast path for the [k_ret] tripwire: most returns land in
-   the segment they retired in, whose return-site mask the fused loop
-   already holds — one bounds check and one byte load, no cross-module
-   call. Cross-segment (or unmapped/misaligned) landings take
-   [check_return_site]'s full search, which reaches the same verdict. *)
-let ret_check st cpu s ret =
-  let pc = cpu.Vm.Cpu.pc in
-  let off = pc - s.Vm.Program.seg_base in
-  if off >= 0 && pc < s.Vm.Program.seg_limit && off land 3 = 0 then begin
-    if Bytes.unsafe_get ret (off lsr 2) = '\000' then unprune st
-  end
-  else check_return_site st cpu
+let mark_at st idx t = if t <> 0 then Bytes.unsafe_set st.prop_mask idx '\001'
 
-let rec fused_seg st cpu s mask plan ret fuel =
-  if cpu.Vm.Cpu.halted || fuel <= 0 then fuel
-  else
-    let pc = cpu.Vm.Cpu.pc in
-    let off = pc - s.Vm.Program.seg_base in
-    if off < 0 || pc >= s.Vm.Program.seg_limit then fuel (* left the segment *)
-    else if off land 3 <> 0 then fuel (* misaligned: slow path faults *)
-    else begin
-      let ii = off lsr 2 in
-      let instr = Array.unsafe_get s.Vm.Program.seg_instrs ii in
-      (if not st.any_taint then begin
-         (* All-clean: propagation is the identity, only machine
-            semantics run. The tripwire stays armed even before the
-            first tainted byte exists: a wild return during the clean
-            prefix invalidates the static model's control-flow
-            assumptions for everything executed after it. In global
-            mode no plan is ever [k_ret], so the extra compare never
-            fires there. *)
-         if not (Vm.Cpu.exec_fast cpu instr) then slow cpu;
-         if Array.unsafe_get plan ii = k_ret then ret_check st cpu s ret
-       end
-       else
-         let p = Array.unsafe_get plan ii in
-         let rt = st.reg_taint in
-         match p land 15 with
-         | 0 (* k_exec *) -> if not (Vm.Cpu.exec_fast cpu instr) then slow cpu
-         | 1 (* k_mov_const *) ->
-           if Vm.Cpu.exec_fast cpu instr then
-             Array.unsafe_set rt ((p lsr 4) land 15) 0
-           else slow cpu
-         | 2 (* k_mov_reg *) ->
-           let t = Array.unsafe_get rt ((p lsr 8) land 15) in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             if t <> 0 then Bytes.unsafe_set mask ii '\001';
-             Array.unsafe_set rt ((p lsr 4) land 15) t
-           end
-           else slow cpu
-         | 3 (* k_mark_rd: rd's taint is unchanged *) ->
-           if Vm.Cpu.exec_fast cpu instr then begin
-             if Array.unsafe_get rt ((p lsr 4) land 15) <> 0 then
-               Bytes.unsafe_set mask ii '\001'
-           end
-           else slow cpu
-         | 4 (* k_bin_reg *) ->
-           let ta = Array.unsafe_get rt ((p lsr 4) land 15) in
-           let tb = Array.unsafe_get rt ((p lsr 8) land 15) in
-           let t =
-             if tb = 0 || ta = tb then ta
-             else if ta = 0 then tb
-             else union st.labels ta tb
-           in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             if t <> 0 then Bytes.unsafe_set mask ii '\001';
-             Array.unsafe_set rt ((p lsr 4) land 15) t
-           end
-           else slow cpu
-         | 5 (* k_load *) ->
-           let addr =
-             (Array.unsafe_get cpu.Vm.Cpu.regs ((p lsr 8) land 15) + (p asr 12))
-             land 0xFFFFFFFF
-           in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             let t = mem_label_word st addr in
-             if t <> 0 then Bytes.unsafe_set mask ii '\001';
-             Array.unsafe_set rt ((p lsr 4) land 15) t
-           end
-           else slow cpu
-         | 6 (* k_loadb *) ->
-           let addr =
-             (Array.unsafe_get cpu.Vm.Cpu.regs ((p lsr 8) land 15) + (p asr 12))
-             land 0xFFFFFFFF
-           in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             let t = mem_label st addr in
-             if t <> 0 then Bytes.unsafe_set mask ii '\001';
-             Array.unsafe_set rt ((p lsr 4) land 15) t
-           end
-           else slow cpu
-         | 7 (* k_store *) ->
-           let addr =
-             (Array.unsafe_get cpu.Vm.Cpu.regs ((p lsr 8) land 15) + (p asr 12))
-             land 0xFFFFFFFF
-           in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             let t = Array.unsafe_get rt ((p lsr 4) land 15) in
-             if t <> 0 then Bytes.unsafe_set mask ii '\001';
-             set_mem_word st addr t
-           end
-           else slow cpu
-         | 8 (* k_storeb *) ->
-           let addr =
-             (Array.unsafe_get cpu.Vm.Cpu.regs ((p lsr 8) land 15) + (p asr 12))
-             land 0xFFFFFFFF
-           in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             let t = Array.unsafe_get rt ((p lsr 4) land 15) in
-             if t <> 0 then begin
-               Bytes.unsafe_set mask ii '\001';
-               st.any_taint <- true
-             end;
-             set_byte st addr t
-           end
-           else slow cpu
-         | 9 (* k_push_reg *) ->
-           let addr =
-             (Array.unsafe_get cpu.Vm.Cpu.regs sp_idx - 4) land 0xFFFFFFFF
-           in
-           let t = Array.unsafe_get rt ((p lsr 8) land 15) in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             if t <> 0 then Bytes.unsafe_set mask ii '\001';
-             set_mem_word st addr t
-           end
-           else slow cpu
-         | 10 (* k_push_const *) ->
-           let addr =
-             (Array.unsafe_get cpu.Vm.Cpu.regs sp_idx - 4) land 0xFFFFFFFF
-           in
-           if Vm.Cpu.exec_fast cpu instr then set_mem_word st addr 0
-           else slow cpu
-         | 11 (* k_pop *) ->
-           let sp = Array.unsafe_get cpu.Vm.Cpu.regs sp_idx in
-           if Vm.Cpu.exec_fast cpu instr then begin
-             let t = mem_label_word st sp in
-             if t <> 0 then Bytes.unsafe_set mask ii '\001';
-             Array.unsafe_set rt ((p lsr 4) land 15) t
-           end
-           else slow cpu
-         | 12 (* k_call *) ->
-           let addr =
-             (Array.unsafe_get cpu.Vm.Cpu.regs sp_idx - 4) land 0xFFFFFFFF
-           in
-           if Vm.Cpu.exec_fast cpu instr then
-             (* The pushed return address is clean. *)
-             set_mem_word st addr 0
-           else slow cpu
-         | _ (* k_ret: pruned plans only, see [k_ret] *) ->
-           if not (Vm.Cpu.exec_fast cpu instr) then slow cpu;
-           ret_check st cpu s ret);
-      fused_seg st cpu s mask plan ret (fuel - 1)
-    end
-
-let fused_run st cpu fuel =
-  let segs = cpu.Vm.Cpu.code.Vm.Program.segments in
-  let rec go n =
-    if cpu.Vm.Cpu.halted then Vm.Cpu.Halted
-    else if n <= 0 then Vm.Cpu.Out_of_fuel
-    else dispatch n cpu.Vm.Cpu.pc 0
-  and dispatch n pc i =
-    if i >= Array.length segs then begin
-      slow cpu (* unmapped pc: faults there *)
-      ; go (n - 1)
-    end
-    else
-      let s = Array.unsafe_get segs i in
-      if pc >= s.Vm.Program.seg_base && pc < s.Vm.Program.seg_limit then begin
-        let n' =
-          fused_seg st cpu s
-            (Array.unsafe_get st.prop_mask i)
-            (Array.unsafe_get st.plans i)
-            (Array.unsafe_get st.trip_ret i)
-            n
+(* The shadow update of one instruction that retired on the fast path,
+   mirroring {!on_effect} exactly (the differential suite holds the two to
+   account); [ea] is the engine's pre-execution effective address. Until
+   the first tainted byte exists every rule is the identity, but the
+   tripwire stays armed: a wild return during the clean prefix
+   invalidates the static model's control-flow assumptions for everything
+   executed after it. The action is one closure over the tracker, so the
+   engine calls it directly. *)
+let act st =
+  let rt = st.reg_taint in
+  fun p ea idx ->
+    let kind = p land 15 in
+    if kind = k_ret then ret_check st
+    else if st.any_taint then begin
+      let a = (p lsr 4) land 15 in
+      match kind with
+      | 1 (* k_mov_const *) -> Array.unsafe_set rt a 0
+      | 2 (* k_mov_reg *) ->
+        let t = Array.unsafe_get rt ((p lsr 8) land 15) in
+        mark_at st idx t;
+        Array.unsafe_set rt a t
+      | 3 (* k_mark_rd: rd's taint is unchanged *) ->
+        mark_at st idx (Array.unsafe_get rt a)
+      | 4 (* k_bin_reg *) ->
+        let ta = Array.unsafe_get rt a in
+        let tb = Array.unsafe_get rt ((p lsr 8) land 15) in
+        let t =
+          if tb = 0 || ta = tb then ta
+          else if ta = 0 then tb
+          else union st.labels ta tb
         in
-        if n' = n then begin
-          slow cpu;
-          go (n' - 1)
-        end
-        else go n'
-      end
-      else dispatch n pc (i + 1)
-  in
-  try go fuel with
-  | Vm.Event.Fault f -> Vm.Cpu.Faulted f
-  | Vm.Event.Blocked -> Vm.Cpu.Blocked
+        mark_at st idx t;
+        Array.unsafe_set rt a t
+      | 5 (* k_load *) | 11 (* k_pop *) ->
+        let t = mem_label_word st ea in
+        mark_at st idx t;
+        Array.unsafe_set rt a t
+      | 6 (* k_loadb *) ->
+        let t = mem_label st ea in
+        mark_at st idx t;
+        Array.unsafe_set rt a t
+      | 7 (* k_store *) | 9 (* k_push_reg *) ->
+        let t = Array.unsafe_get rt a in
+        mark_at st idx t;
+        set_mem_word st ea t
+      | 8 (* k_storeb *) ->
+        let t = Array.unsafe_get rt a in
+        if t <> 0 then begin
+          Bytes.unsafe_set st.prop_mask idx '\001';
+          st.any_taint <- true
+        end;
+        set_byte st ea t
+      | _ (* k_push_const, k_call: the pushed word is clean *) ->
+        set_mem_word st ea 0
+    end
+
+let client st =
+  { Engine.plans = st.plans; act = act st; on_effect = on_effect st }
 
 let check_static (static : Static_an.Staint.t) cpu =
   if not (Static_an.Staint.matches static cpu.Vm.Cpu.code) then
     invalid_arg "Taint: static analysis is for a different program"
 
-(** Attach the tracker, run the replay to completion, classify, detach.
-    Uses the fused loop when this tracker is the only instrumentation on
-    the CPU; otherwise falls back to the generic hooked interpreter so
-    foreign hooks keep firing. [static] (a {!Static_an.Staint} result for
-    the same program) prunes the fused loop's shadow work down to the
-    statically reachable propagation pcs, with a per-[Ret] return-site
-    tripwire backstopping the static model's one optimistic assumption;
-    results are unchanged. *)
+(** Run the replay to completion on the {!Engine} with the tracker
+    attached, then classify. [static] (a {!Static_an.Staint} result for the
+    same program) prunes the shadow work down to the statically reachable
+    propagation pcs, with a per-[Ret] return-site tripwire backstopping
+    the static model's one optimistic assumption; results are unchanged. *)
 let run ?(fuel = 20_000_000) ?static (proc : Osim.Process.t) : result =
   let cpu = proc.Osim.Process.cpu in
   (match static with
@@ -890,24 +691,7 @@ let run ?(fuel = 20_000_000) ?static (proc : Osim.Process.t) : result =
   | None -> ());
   let st = create ?static proc in
   let before = cpu.Vm.Cpu.icount in
-  let hook = Vm.Cpu.add_post_hook cpu (on_effect st) in
-  let outcome =
-    if Vm.Cpu.global_hook_count cpu = 1 && Vm.Cpu.pc_hook_count cpu = 0 then begin
-      let slow0 = cpu.Vm.Cpu.slow_retired in
-      let o = fused_run st cpu fuel in
-      (* Instructions the fused loop ran through [exec_fast] retire outside
-         the interpreter's dispatch, so account them as fast-path work here
-         (everything this window executed minus what [slow] stepped) to
-         keep fast + slow equal to the instructions actually executed. *)
-      cpu.Vm.Cpu.fast_retired <-
-        cpu.Vm.Cpu.fast_retired
-        + (cpu.Vm.Cpu.icount - before)
-        - (cpu.Vm.Cpu.slow_retired - slow0);
-      o
-    end
-    else Vm.Cpu.run ~fuel cpu
-  in
-  Vm.Cpu.remove_hook cpu hook;
+  let outcome = Engine.run ~fuel (client st) cpu in
   {
     t_verdict = classify_fault st outcome;
     t_prop_pcs = prop_pcs_list st;
@@ -953,28 +737,16 @@ let run_pruned ?(fuel = 20_000_000) ~static (proc : Osim.Process.t) : result =
       track_hooks := [ Vm.Cpu.add_post_hook cpu (on_effect st) ]
     end
   in
-  let ret_pcs =
-    Array.fold_left
-      (fun acc s ->
-        let acc = ref acc in
-        Array.iteri
-          (fun i (instr : Vm.Isa.instr) ->
-            match instr with
-            | Ret ->
-              acc :=
-                (s.Vm.Program.seg_base + (i * Vm.Isa.instr_size)) :: !acc
-            | _ -> ())
-          s.Vm.Program.seg_instrs;
-        !acc)
-      []
-      cpu.Vm.Cpu.code.Vm.Program.segments
-  in
-  let ret_hooks =
-    List.rev_map (fun pc -> Vm.Cpu.add_pc_post_hook cpu ~pc trip) ret_pcs
-  in
+  let ret_hooks = ref [] in
+  Vm.Program.iteri
+    (fun pc (instr : Vm.Isa.instr) ->
+      match instr with
+      | Ret -> ret_hooks := Vm.Cpu.add_pc_post_hook cpu ~pc trip :: !ret_hooks
+      | _ -> ())
+    cpu.Vm.Cpu.code;
   let outcome = Vm.Cpu.run ~fuel cpu in
   List.iter (Vm.Cpu.remove_hook cpu) !track_hooks;
-  List.iter (Vm.Cpu.remove_hook cpu) ret_hooks;
+  List.iter (Vm.Cpu.remove_hook cpu) !ret_hooks;
   {
     t_verdict = classify_fault st outcome;
     t_prop_pcs = prop_pcs_list st;
@@ -1001,189 +773,3 @@ let vsef_of_result ~app ~proc (r : result) =
         v_origin = Vsef.From_taint;
       }
   | Untainted_fault _ | No_fault -> None
-
-(* ------------------------------------------------------------------ *)
-(* Oracle: the original per-byte engine, kept as the reference          *)
-(* ------------------------------------------------------------------ *)
-
-(** The first implementation of this engine — one hashtable entry per
-    tainted byte, label sets passed around as AVL sets — retained verbatim
-    as the differential-testing oracle for the interned/paged engine
-    above. Same propagation rules, same guard spec, same verdicts; only
-    the data structures (and the speed) differ. *)
-module Oracle = struct
-  type state = {
-    o_proc : Osim.Process.t;
-    byte_taint : (int, Int_set.t) Hashtbl.t;
-    o_reg_taint : Int_set.t array;
-    mutable prop_pcs : Int_set.t;  (** instructions that moved taint *)
-    mutable o_sources_seen : Int_set.t;  (** message ids read *)
-  }
-
-  let create proc =
-    {
-      o_proc = proc;
-      byte_taint = Hashtbl.create 1024;
-      o_reg_taint = Array.make Vm.Isa.num_regs Int_set.empty;
-      prop_pcs = Int_set.empty;
-      o_sources_seen = Int_set.empty;
-    }
-
-  let byte_set st addr =
-    match Hashtbl.find_opt st.byte_taint addr with
-    | Some s -> s
-    | None -> Int_set.empty
-
-  let mem_taint st (a : Vm.Event.access) =
-    let rec go acc i =
-      if i >= a.a_size then acc
-      else go (Int_set.union acc (byte_set st (a.a_addr + i))) (i + 1)
-    in
-    go Int_set.empty 0
-
-  let set_mem_taint st addr size taint =
-    for i = 0 to size - 1 do
-      if Int_set.is_empty taint then Hashtbl.remove st.byte_taint (addr + i)
-      else Hashtbl.replace st.byte_taint (addr + i) taint
-    done
-
-  let reg st r = st.o_reg_taint.(Vm.Isa.reg_index r)
-  let set_reg st r v = st.o_reg_taint.(Vm.Isa.reg_index r) <- v
-
-  let operand_taint st = function
-    | Vm.Isa.Reg r -> reg st r
-    | Vm.Isa.Imm _ | Vm.Isa.Sym _ -> Int_set.empty
-
-  let on_effect st (eff : Vm.Event.effect_) =
-    let mark taint =
-      if not (Int_set.is_empty taint) then
-        st.prop_pcs <- Int_set.add eff.e_pc st.prop_pcs
-    in
-    (match eff.e_instr with
-    | Vm.Isa.Mov (rd, op) ->
-      let t = operand_taint st op in
-      mark t;
-      set_reg st rd t
-    | Vm.Isa.Bin (_, rd, src) ->
-      let t = Int_set.union (reg st rd) (operand_taint st src) in
-      mark t;
-      set_reg st rd t
-    | Vm.Isa.Not rd | Vm.Isa.Neg rd -> mark (reg st rd)
-    | Vm.Isa.Load (rd, _, _) | Vm.Isa.Loadb (rd, _, _) ->
-      let t =
-        List.fold_left
-          (fun acc a -> Int_set.union acc (mem_taint st a))
-          Int_set.empty eff.e_mem_reads
-      in
-      mark t;
-      set_reg st rd t
-    | Vm.Isa.Store (_, _, rs) | Vm.Isa.Storeb (_, _, rs) ->
-      let t = reg st rs in
-      mark t;
-      List.iter
-        (fun (a : Vm.Event.access) -> set_mem_taint st a.a_addr a.a_size t)
-        eff.e_mem_writes
-    | Vm.Isa.Push op ->
-      let t = operand_taint st op in
-      mark t;
-      List.iter
-        (fun (a : Vm.Event.access) -> set_mem_taint st a.a_addr a.a_size t)
-        eff.e_mem_writes
-    | Vm.Isa.Pop rd ->
-      let t =
-        List.fold_left
-          (fun acc a -> Int_set.union acc (mem_taint st a))
-          Int_set.empty eff.e_mem_reads
-      in
-      mark t;
-      set_reg st rd t
-    | Vm.Isa.Call _ | Vm.Isa.CallInd _ ->
-      (* The pushed return address is clean. *)
-      List.iter
-        (fun (a : Vm.Event.access) ->
-          set_mem_taint st a.a_addr a.a_size Int_set.empty)
-        eff.e_mem_writes
-    | Vm.Isa.Cmp _ | Vm.Isa.Jmp _ | Vm.Isa.Jcc _ | Vm.Isa.Ret
-    | Vm.Isa.Syscall _ | Vm.Isa.Halt | Vm.Isa.Nop ->
-      ());
-    match eff.e_sys with
-    | Vm.Event.Io_recv { buf; len; msg_id } ->
-      st.o_sources_seen <- Int_set.add msg_id st.o_sources_seen;
-      for i = 0 to len - 1 do
-        Hashtbl.replace st.byte_taint (buf + i) (Int_set.singleton msg_id)
-      done;
-      set_reg st Vm.Isa.R0 Int_set.empty
-    | Vm.Event.Io_alloc _ | Vm.Event.Io_free _ | Vm.Event.Io_send _
-    | Vm.Event.Io_exit _ | Vm.Event.Io_other _ ->
-      set_reg st Vm.Isa.R0 Int_set.empty
-    | Vm.Event.Io_exec _ -> ()
-    | Vm.Event.Io_none -> ()
-
-  let guard st (eff : Vm.Event.effect_) =
-    let tainted_set =
-      match eff.e_instr with
-      | Vm.Isa.Ret ->
-        List.fold_left
-          (fun acc a -> Int_set.union acc (mem_taint st a))
-          Int_set.empty eff.e_mem_reads
-      | Vm.Isa.CallInd r -> reg st r
-      | Vm.Isa.Syscall n when n = Vm.Sysno.sys_exec ->
-        (* Same sink spec as the fast engine's {!guard}: the shadow of the
-           command string's actual bytes, load_cstring's length cap. *)
-        let addr = Vm.Cpu.get_reg st.o_proc.Osim.Process.cpu Vm.Isa.R0 in
-        let mem = st.o_proc.Osim.Process.mem in
-        let rec scan acc i =
-          if i >= exec_scan_limit then acc
-          else if Vm.Memory.load_byte mem (addr + i) = 0 then acc
-          else scan (Int_set.union acc (byte_set st (addr + i))) (i + 1)
-        in
-        scan Int_set.empty 0
-      | _ -> Int_set.empty
-    in
-    if not (Int_set.is_empty tainted_set) then
-      Detection.detect
-        (Detection.Taint_sink
-           (String.concat ","
-              (List.map string_of_int (Int_set.elements tainted_set))))
-        ~pc:eff.e_pc ~detail:"tainted data about to be misused"
-
-  let classify_fault st (outcome : Vm.Cpu.outcome) : verdict =
-    let cpu = st.o_proc.Osim.Process.cpu in
-    let pc = cpu.Vm.Cpu.pc in
-    let word_at addr = mem_taint st { a_addr = addr; a_size = 4; a_value = 0 } in
-    match outcome with
-    | Vm.Cpu.Faulted _ -> (
-      match Vm.Program.fetch cpu.Vm.Cpu.code pc with
-      | Some Vm.Isa.Ret ->
-        let sp = Vm.Cpu.get_reg cpu Vm.Isa.SP in
-        let t = word_at sp in
-        if Int_set.is_empty t then Untainted_fault { pc }
-        else Tainted_ret { pc; msgs = t }
-      | Some (Vm.Isa.CallInd r) ->
-        let t = reg st r in
-        if Int_set.is_empty t then Untainted_fault { pc }
-        else Tainted_call { pc; msgs = t }
-      | Some (Vm.Isa.Store (_, _, rs) | Vm.Isa.Storeb (_, _, rs)) ->
-        let t = reg st rs in
-        if Int_set.is_empty t then Untainted_fault { pc }
-        else Tainted_store_fault { pc; msgs = t }
-      | _ -> Untainted_fault { pc })
-    | Vm.Cpu.Halted | Vm.Cpu.Blocked | Vm.Cpu.Out_of_fuel -> (
-      match st.o_proc.Osim.Process.compromised with
-      | Some _ -> Tainted_exec { pc; msgs = st.o_sources_seen }
-      | None -> No_fault)
-
-  (** The original hook-driven replay: every instruction on the generic
-      instrumented path. *)
-  let run ?(fuel = 20_000_000) (proc : Osim.Process.t) : result =
-    let st = create proc in
-    let before = proc.Osim.Process.cpu.Vm.Cpu.icount in
-    let hook = Vm.Cpu.add_post_hook proc.cpu (on_effect st) in
-    let outcome = Vm.Cpu.run ~fuel proc.cpu in
-    Vm.Cpu.remove_hook proc.cpu hook;
-    {
-      t_verdict = classify_fault st outcome;
-      t_prop_pcs = Int_set.elements st.prop_pcs;
-      t_instructions = proc.Osim.Process.cpu.Vm.Cpu.icount - before;
-    }
-end

@@ -8,10 +8,8 @@
 
     Internally the engine keeps taint as interned label-set ids over paged
     shadow memory (parallel to {!Vm.Memory}'s pages), and {!run} replays on
-    a fused loop that reuses the interpreter's uninstrumented executor
-    instead of the per-instruction effect-record path — the heavyweight
-    analysis at close to fast-path speed. {!Oracle} is the original
-    per-byte engine, kept as the differential-testing reference. *)
+    the shared {!Engine} instead of the per-instruction effect-record path
+    — the heavyweight analysis at close to fast-path speed. *)
 
 module Int_set : Set.S with type elt = int and type t = Set.Make(Int).t
 
@@ -64,10 +62,10 @@ val verdict_msgs : verdict -> int list
 val verdict_to_string : verdict -> string
 
 val run : ?fuel:int -> ?static:Static_an.Staint.t -> Osim.Process.t -> result
-(** Attach the tracker, run the replay to completion, classify, detach.
-    Replays on the fused fast loop when this tracker is the only
-    instrumentation installed on the CPU; observable results are identical
-    to the hook-driven path either way. [static] (a {!Static_an.Staint}
+(** Run the replay to completion on the {!Engine} with the tracker
+    attached, then classify. The engine replays on its fused fast loop
+    when nothing else is instrumenting the CPU; observable results are
+    identical to the hook-driven path either way. [static] (a {!Static_an.Staint}
     result for the same program — [Invalid_argument] otherwise) prunes the
     fused loop's shadow work to the statically reachable propagation pcs
     without changing any result. *)
@@ -82,17 +80,3 @@ val run_pruned :
 val vsef_of_result :
   app:string -> proc:Osim.Process.t -> result -> Vsef.t option
 (** The taint-derived VSEF: propagation instructions plus the sink. *)
-
-(** The original engine — one hashtable entry per tainted byte, label sets
-    as AVL sets, every instruction on the generic instrumented path — kept
-    verbatim as the reference the fast engine is differentially tested
-    against. Same propagation rules, same guard spec, same verdicts. *)
-module Oracle : sig
-  type state
-
-  val create : Osim.Process.t -> state
-  val on_effect : state -> Vm.Event.effect_ -> unit
-  val guard : state -> Vm.Event.effect_ -> unit
-  val classify_fault : state -> Vm.Cpu.outcome -> verdict
-  val run : ?fuel:int -> Osim.Process.t -> result
-end
