@@ -1364,6 +1364,71 @@ let micro_absint () =
   (rows, guarded, elided)
 
 (* ------------------------------------------------------------------ *)
+(* Host creation: one full template load vs. stamping out clones that  *)
+(* share its compiled block table.                                     *)
+(* ------------------------------------------------------------------ *)
+
+type host_creation_row = {
+  hc_app : string;
+  hc_template_ms : float;  (** best full template build *)
+  hc_instantiate_us : float;  (** median clone *)
+  hc_retained_words : float;
+      (** heap words each additional clone keeps reachable beyond what it
+          shares with its siblings *)
+}
+
+let host_creation_row key =
+  let compiled = (Apps.Registry.find key).Apps.Registry.r_compile () in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    (r, Unix.gettimeofday () -. t0)
+  in
+  let tpls =
+    List.init (sc 3 2) (fun _ ->
+        timed (fun () -> Osim.Process.template ~aslr:true ~seed:(bseed 5) compiled))
+  in
+  let tpl = fst (List.hd tpls) in
+  let n = sc 64 16 in
+  let clones = List.init n (fun _ -> timed (fun () -> Osim.Process.instantiate tpl)) in
+  let procs = List.map fst clones in
+  let words x = float_of_int (Obj.reachable_words (Obj.repr x)) in
+  {
+    hc_app = key;
+    hc_template_ms = 1000. *. List.fold_left (fun m (_, s) -> min m s) infinity tpls;
+    hc_instantiate_us = 1e6 *. median (List.map snd clones);
+    hc_retained_words =
+      (words procs -. words [ List.hd procs ]) /. float_of_int (n - 1);
+  }
+
+(* The gate is a ratio measured in one process, so it holds on any
+   machine: a clone must cost at most 1/20 of a full template build and
+   keep at most 2000 words of its own. Smoke mode times a handful of
+   clones on a loaded test runner, hence the looser bounds there. *)
+let micro_host_creation () =
+  section_header "Host creation: template build vs. copy-on-write clone";
+  let max_ratio = sc 20. 5. and max_words = sc 2000. 4000. in
+  let rows = List.map host_creation_row apps in
+  Printf.printf "%-8s %12s %15s %15s\n" "app" "template(ms)" "instantiate(us)"
+    "retained(words)";
+  List.iter
+    (fun r ->
+      Printf.printf "%-8s %12.3f %15.1f %15.0f\n" r.hc_app r.hc_template_ms
+        r.hc_instantiate_us r.hc_retained_words;
+      if
+        r.hc_instantiate_us *. max_ratio > r.hc_template_ms *. 1000.
+        || r.hc_retained_words > max_words
+      then
+        failwith
+          (Printf.sprintf
+             "%s: a clone costs %.1f us and %.0f words against a %.3f ms \
+              template (gate: <= 1/%.0f of the template, <= %.0f words)"
+             r.hc_app r.hc_instantiate_us r.hc_retained_words r.hc_template_ms
+             max_ratio max_words))
+    rows;
+  rows
+
+(* ------------------------------------------------------------------ *)
 (* Taint & slicing engines: ns/instr of the heavyweight replays.       *)
 (* The workload is what the analyses actually chew through: a replay   *)
 (* that recv's a message and then loops copy/ALU traffic over the      *)
@@ -1654,8 +1719,10 @@ let merge_json_file file (fresh : (string * Obs.Json.t) list) =
 
 let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
     ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~membug_ns
-    ~slice_ns ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3 =
+    ~slice_ns ~static_rows ~absint_rows ~absint_guarded ~absint_elided
+    ~host_rows ~table3 =
   let f x = Obs.Json.Float x in
+  let host_median field = f (median (List.map field host_rows)) in
   let tier_obj (b, fa, sl, n) =
     Obs.Json.Obj
       [
@@ -1735,6 +1802,25 @@ let write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
                          ] ))
                    absint_rows) );
           ] );
+      ( "host_creation",
+        Obs.Json.Obj
+          [
+            ("template_ms", host_median (fun r -> r.hc_template_ms));
+            ("instantiate_us", host_median (fun r -> r.hc_instantiate_us));
+            ("retained_words", host_median (fun r -> r.hc_retained_words));
+            ( "apps",
+              Obs.Json.Obj
+                (List.map
+                   (fun r ->
+                     ( r.hc_app,
+                       Obs.Json.Obj
+                         [
+                           ("template_ms", f r.hc_template_ms);
+                           ("instantiate_us", f r.hc_instantiate_us);
+                           ("retained_words", f r.hc_retained_words);
+                         ] ))
+                   host_rows) );
+          ] );
       ( "table3_stage_ms",
         Obs.Json.Obj
           (List.map
@@ -1775,11 +1861,13 @@ let micro () =
   let taint_fused, taint_oracle, membug_ns, slice_ns = micro_taint () in
   let static_rows = micro_static () in
   let absint_rows, absint_guarded, absint_elided = micro_absint () in
+  let host_rows = micro_host_creation () in
   if !json_output then begin
     let table3 = table3_stage_rows () in
     write_bench_json ~uninstr ~block_compiled ~one_pc ~global ~obs_on ~flight
       ~pages_per_ck ~cks ~tiers ~taint_fused ~taint_oracle ~membug_ns ~slice_ns
-      ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~table3
+      ~static_rows ~absint_rows ~absint_guarded ~absint_elided ~host_rows
+      ~table3
   end;
   section_header "Microbenchmarks (Bechamel)";
   let open Bechamel in

@@ -151,6 +151,7 @@ let transfer (st : iv array) (ins : instr) =
 
 type t = {
   ab_prog : P.t;
+  ab_cfg : Cfg.t;  (** the CFG the fixpoint ran over *)
   ab_in : iv array option array array;
       (** per segment, per instruction: the in-state (None = unreachable) *)
   ab_cls : Bytes.t array;
@@ -469,6 +470,7 @@ let analyze ?entries ?init_sp ~(layout : Vm.Layout.t) (prog : P.t) =
     blocks;
   {
     ab_prog = prog;
+    ab_cfg = cfg;
     ab_in;
     ab_cls;
     ab_data = (data_lo, data_hi);
@@ -483,6 +485,7 @@ let analyze ?entries ?init_sp ~(layout : Vm.Layout.t) (prog : P.t) =
   }
 
 let program t = t.ab_prog
+let cfg t = t.ab_cfg
 
 let matches t (prog : P.t) =
   t.ab_prog == prog

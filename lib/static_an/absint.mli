@@ -61,6 +61,11 @@ val analyze :
 
 val program : t -> Vm.Program.t
 
+val cfg : t -> Cfg.t
+(** The control-flow graph the analysis recovered from the program —
+    reusable by any client that needs the same program's blocks (the
+    loader reads block-tier bounds from it) without rebuilding it. *)
+
 val matches : t -> Vm.Program.t -> bool
 (** Does [t] describe this program? Static results are only valid for
     the exact code they were computed from (segment fingerprints). *)

@@ -36,7 +36,7 @@ val unknown : t -> int option
 
 val block_bounds : t -> (int * int) array
 (** [(entry_pc, instruction-count)] of every ordinary block, ascending
-    pc — the input {!Vm.Block_compile.install} consumes. The unknown
+    pc — the input {!Vm.Block_compile.table} consumes. The unknown
     sink is excluded: it names no code range, so there is nothing to
     compile for it; indirect control resolves at run time. *)
 

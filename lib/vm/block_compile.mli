@@ -20,7 +20,8 @@
     compare is also the soundness tripwire: an address outside the range
     (only reachable via a control-flow hijack, or a wrong proof) counts
     an {!Cpu.elision_trip}, permanently demotes the block to the fully
-    guarded tiers, and declines — behaviour stays byte-identical to a
+    guarded tiers on the tripping CPU (the shared closure is untouched;
+    only that CPU's demotion state changes), and declines — behaviour stays byte-identical to a
     never-elided run in every case; only tier accounting differs. *)
 
 val compile :
@@ -41,10 +42,20 @@ val compile :
     memory guard of the access at [pc] down to a range check against
     the constant region [\[lo, hi)]. *)
 
+val table :
+  ?safe_of:(int -> (int * int) option) ->
+  Program.t ->
+  (int * int) array ->
+  Cpu.block_code
+(** [table code bounds] compiles each [(entry_pc, length)] pair —
+    typically [Static_an.Cfg.block_bounds code] — into the program's
+    shared block table. Compile it once per program: the closures
+    capture no CPU, so one table serves every CPU running [code] through
+    {!Cpu.attach_blocks}, each with its own demotion state. *)
+
 val install :
   ?safe_of:(int -> (int * int) option) -> Cpu.t -> (int * int) array -> unit
-(** [install cpu bounds] compiles each [(entry_pc, length)] pair —
-    typically [Static_an.Cfg.block_bounds] of the CPU's program — and
-    installs the resulting table via {!Cpu.install_blocks}, engaging
-    tier 3 for subsequent {!Cpu.run} calls. Blocks overlapping currently
-    hooked pcs stay demoted until the hooks detach. *)
+(** [install cpu bounds] is [Cpu.attach_blocks cpu (table cpu.code
+    bounds)]: a table compiled for, and attached to, one CPU. Blocks
+    overlapping currently hooked pcs stay demoted until the hooks
+    detach. *)

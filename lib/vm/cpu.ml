@@ -69,8 +69,9 @@ type t = {
       (** parallel to [code.segments]: byte [i] is non-zero iff some per-pc
           hook (pre or post) is installed at that instruction *)
   mutable blocks : block_table option;
-      (** compiled basic-block superinstructions, when installed (see
-          {!Block_compile}); [None] falls back to per-instruction tiers *)
+      (** this CPU's view of a shared compiled block table, when attached
+          (see {!Block_compile}); [None] falls back to per-instruction
+          tiers *)
   scratch : Event.effect_;
       (** the one effect record the instrumented path reuses for every
           instruction — hooks may read it only during their callback *)
@@ -80,28 +81,46 @@ type t = {
   scr_mw : Event.access list;  (** preallocated [[scr_write]] *)
 }
 
-(* The block-superinstruction tier's dispatch tables. [bt_entry] steers
-   the tier loop (one array read per block-entry pc); [bt_cover] maps any
-   instruction index to the block containing it, so hook attach/detach
-   and invalidation can demote exactly the affected block. A block is
-   runnable ([bt_ok]) iff it has not been invalidated ([bt_valid]) and no
-   pc inside it carries a per-pc hook ([bt_hooks] = 0) — the whole
-   hook-mask test the compiled body skips, taken once at entry. *)
+(* The block-superinstruction tier's dispatch tables, in two parts.
+
+   The code part ([block_code]) is a pure function of the program: the
+   entry and cover maps, block lengths, and the fused closures. It is
+   built once per program and never written afterwards, so every CPU
+   running that program — clones of one process template, on any domain
+   — shares it read-only.
+
+   The demotion part is per CPU: a block is runnable ([bt_ok]) iff it has
+   not been invalidated ([bt_valid]) and no pc inside it carries a per-pc
+   hook ([bt_hooks] = 0) — the whole hook-mask test the compiled body
+   skips, taken once at entry. [block_table] repeats the shared arrays'
+   pointers beside the per-CPU ones so the tier loop reads every field
+   from one record. *)
+and block_code = {
+  bc_code : Program.t;  (** the program the closures were compiled from *)
+  bc_entry : int array array;
+  bc_cover : int array array;
+  bc_len : int array;
+  bc_fn : (t -> int) array;
+}
+
 and block_table = {
   bt_entry : int array array;
-      (** per segment: instruction index -> block id at entry pcs, else -1 *)
+      (** shared: per segment, instruction index -> block id at entry
+          pcs, else -1 *)
   bt_cover : int array array;
-      (** per segment: instruction index -> covering block id, else -1 *)
-  bt_len : int array;  (** per block: instruction count *)
+      (** shared: per segment, instruction index -> covering block id,
+          else -1 *)
+  bt_len : int array;  (** shared: per block, instruction count *)
   bt_fn : (t -> int) array;
-      (** per block: the fused closure. Returns the number of instructions
-          retired (= length on completion; on a mid-block decline, state —
-          including [pc] — is byte-identical to per-instruction execution
-          up to the declining pc, which has not run). Never touches
-          [icount] or the retirement counters; the caller accounts. *)
-  bt_hooks : int array;  (** per block: pcs currently on the hook mask *)
-  bt_valid : Bytes.t;  (** per block: ['\001'] unless invalidated *)
-  bt_ok : Bytes.t;  (** per block: [bt_valid] && [bt_hooks] = 0 *)
+      (** shared: per block, the fused closure. Returns the number of
+          instructions retired (= length on completion; on a mid-block
+          decline, state — including [pc] — is byte-identical to
+          per-instruction execution up to the declining pc, which has not
+          run). Never touches [icount] or the retirement counters; the
+          caller accounts. *)
+  bt_hooks : int array;  (** per CPU, per block: pcs on the hook mask *)
+  bt_valid : Bytes.t;  (** per CPU, per block: ['\001'] unless invalidated *)
+  bt_ok : Bytes.t;  (** per CPU, per block: [bt_valid] && [bt_hooks] = 0 *)
 }
 
 type outcome =
@@ -294,48 +313,67 @@ let global_hook_count cpu = cpu.hooks.n_pre_all + cpu.hooks.n_post_all
 (* Block-superinstruction table management (tier 3)                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Install compiled basic blocks: [(entry_pc, length, closure)] triples,
-    normally produced by {!Block_compile.install}. Blocks whose pcs carry
-    hooks at install time start demoted; {!sync_mask} keeps the counts
-    live from then on. Replaces any previously installed table. *)
-let install_blocks cpu (blocks : (int * int * (t -> int)) array) =
-  let segs = cpu.code.Program.segments in
-  let nb = Array.length blocks in
+(** Build a program's shared block table from [(entry_pc, length,
+    closure)] triples, normally produced by {!Block_compile.table}.
+    Validates every block against [code] once, here, so attaching the
+    table to a CPU never has to. *)
+let block_code (code : Program.t) (blocks : (int * int * (t -> int)) array) =
+  let segs = code.Program.segments in
+  let per_seg () =
+    Array.map (fun s -> Array.make (Array.length s.Program.seg_instrs) (-1)) segs
+  in
+  let bc_entry = per_seg () and bc_cover = per_seg () in
+  Array.iteri
+    (fun bid (pc, len, _) ->
+      match Program.locate code pc with
+      | None -> invalid_arg "Cpu.block_code: entry pc outside code"
+      | Some (si, ii) ->
+        if len <= 0 || ii + len > Array.length segs.(si).Program.seg_instrs
+        then invalid_arg "Cpu.block_code: block overruns its segment";
+        bc_entry.(si).(ii) <- bid;
+        Array.fill bc_cover.(si) ii len bid)
+    blocks;
+  {
+    bc_code = code;
+    bc_entry;
+    bc_cover;
+    bc_len = Array.map (fun (_, len, _) -> len) blocks;
+    bc_fn = Array.map (fun (_, _, fn) -> fn) blocks;
+  }
+
+(** Engage tier 3 on [cpu] with a shared table: allocate this CPU's
+    demotion state and count the hooks already on its mask, so blocks
+    covering hooked pcs start demoted (a CPU with no per-pc hooks has an
+    all-zero mask and skips the scan); {!sync_mask} keeps the counts live
+    from then on. Replaces any previously attached table. *)
+let attach_blocks cpu bc =
+  if bc.bc_code != cpu.code then
+    invalid_arg "Cpu.attach_blocks: table was built for different code";
+  let nb = Array.length bc.bc_len in
   let bt =
     {
-      bt_entry =
-        Array.map
-          (fun s -> Array.make (Array.length s.Program.seg_instrs) (-1))
-          segs;
-      bt_cover =
-        Array.map
-          (fun s -> Array.make (Array.length s.Program.seg_instrs) (-1))
-          segs;
-      bt_len = Array.make nb 0;
-      bt_fn = Array.make nb (fun (_ : t) -> 0);
+      bt_entry = bc.bc_entry;
+      bt_cover = bc.bc_cover;
+      bt_len = bc.bc_len;
+      bt_fn = bc.bc_fn;
       bt_hooks = Array.make nb 0;
       bt_valid = Bytes.make nb '\001';
       bt_ok = Bytes.make nb '\001';
     }
   in
-  Array.iteri
-    (fun bid (pc, len, fn) ->
-      match Program.locate cpu.code pc with
-      | None -> invalid_arg "Cpu.install_blocks: entry pc outside code"
-      | Some (si, ii) ->
-        if len <= 0 || ii + len > Array.length segs.(si).Program.seg_instrs
-        then invalid_arg "Cpu.install_blocks: block overruns its segment";
-        bt.bt_len.(bid) <- len;
-        bt.bt_fn.(bid) <- fn;
-        bt.bt_entry.(si).(ii) <- bid;
-        let mask = cpu.pc_hook_mask.(si) in
-        for k = ii to ii + len - 1 do
-          bt.bt_cover.(si).(k) <- bid;
-          if Bytes.get mask k <> '\000' then
-            bt.bt_hooks.(bid) <- bt.bt_hooks.(bid) + 1
-        done;
-        sync_block_ok bt bid)
-    blocks;
+  if cpu.hooks.n_pre_at + cpu.hooks.n_post_at > 0 then
+    Array.iteri
+      (fun si mask ->
+        let cover = bc.bc_cover.(si) in
+        Bytes.iteri
+          (fun k c ->
+            let bid = cover.(k) in
+            if c <> '\000' && bid >= 0 then begin
+              bt.bt_hooks.(bid) <- bt.bt_hooks.(bid) + 1;
+              Bytes.set bt.bt_ok bid '\000'
+            end)
+          mask)
+      cpu.pc_hook_mask;
   cpu.blocks <- Some bt
 
 let clear_blocks cpu = cpu.blocks <- None

@@ -20,14 +20,34 @@ type hook = Event.effect_ -> unit
 
 type hooks
 
-type block_table
-(** Dispatch tables for the block-superinstruction tier (tier 3): per
-    basic block, a fused closure executing the whole body with one bounds
-    check and one hook-mask/fuel test at entry. Built by
-    {!Block_compile.install}; managed through {!install_blocks},
-    {!clear_blocks}, and {!invalidate_block}. *)
+type block_code
+(** A program's compiled block table for the block-superinstruction tier
+    (tier 3): per basic block, a fused closure executing the whole body
+    with one bounds check and one hook-mask/fuel test at entry, plus the
+    pc -> block maps. Built once per program by {!Block_compile.table}
+    and never written afterwards, so any number of CPUs running that
+    program — on any domain — share it read-only via {!attach_blocks}. *)
 
-type t = {
+type block_table = {
+  bt_entry : int array array;
+      (** shared: per segment, instruction index -> block id at entry
+          pcs, else -1 *)
+  bt_cover : int array array;
+      (** shared: per segment, instruction index -> covering block id,
+          else -1 *)
+  bt_len : int array;  (** shared: per block, instruction count *)
+  bt_fn : (t -> int) array;  (** shared: per block, the fused closure *)
+  bt_hooks : int array;  (** per CPU, per block: pcs on the hook mask *)
+  bt_valid : Bytes.t;  (** per CPU, per block: ['\001'] unless invalidated *)
+  bt_ok : Bytes.t;  (** per CPU, per block: [bt_valid] && [bt_hooks] = 0 *)
+}
+(** One CPU's view of the tier: the {!block_code} arrays it shares with
+    every other CPU running the same program (never written once built),
+    beside this CPU's own demotion state. Managed through
+    {!attach_blocks}, {!clear_blocks}, and {!invalidate_block}; demotion
+    never leaks to other CPUs sharing the same {!block_code}. *)
+
+and t = {
   regs : int array;
   mutable pc : int;
   mutable flag_a : int;  (** first operand of the last [Cmp] *)
@@ -60,7 +80,7 @@ type t = {
       (** parallel to [code.segments]: non-zero bytes mark pcs with per-pc
           hooks, steering {!run}'s dispatch to the instrumented path *)
   mutable blocks : block_table option;
-      (** compiled basic-block superinstructions, when installed *)
+      (** this CPU's view of a shared compiled block table, when attached *)
   scratch : Event.effect_;
       (** the one effect record the instrumented path reuses for every
           instruction — hooks may read it only during their callback *)
@@ -147,20 +167,29 @@ val run : ?fuel:int -> t -> outcome
 
 (** {2 Block-superinstruction tier (tier 3)} *)
 
-val install_blocks : t -> (int * int * (t -> int)) array -> unit
-(** Install compiled basic blocks as [(entry_pc, length, closure)]
-    triples — normally via {!Block_compile.install}, which derives the
-    bounds from a CFG and compiles the closures. Blocks containing
-    currently hooked pcs start demoted to the per-instruction tiers;
-    subsequent hook attach/detach keeps the demotion in sync, effective
-    no later than the next block entry. *)
+val block_code : Program.t -> (int * int * (t -> int)) array -> block_code
+(** Build the shared table of a program from compiled basic blocks given
+    as [(entry_pc, length, closure)] triples — normally via
+    {!Block_compile.table}, which derives the bounds from a CFG and
+    compiles the closures. Raises [Invalid_argument] if a block's entry
+    is outside the program or the block overruns its segment. *)
+
+val attach_blocks : t -> block_code -> unit
+(** Engage tier 3 on a CPU with a shared table, replacing any previous
+    one. Allocates only this CPU's demotion state; blocks containing
+    currently hooked pcs start demoted, and subsequent hook
+    attach/detach keeps the demotion in sync, effective no later than
+    the next block entry. Raises [Invalid_argument] if the table was
+    built for a different {!Program.t} than the CPU's [code] (compared
+    physically: the closures bake in that program's instructions). *)
 
 val clear_blocks : t -> unit
 (** Remove the block table; execution falls back to the fast/slow tiers. *)
 
 val invalidate_block : t -> pc:int -> unit
 (** Permanently demote the block containing [pc] to per-instruction
-    execution (takes effect no later than the next block entry). *)
+    execution on this CPU only — other CPUs sharing the table keep
+    running it (takes effect no later than the next block entry). *)
 
 val elision_trip : t -> pc:int -> unit
 (** The soundness tripwire of bounds-check elision: count a proven-safe
@@ -169,7 +198,7 @@ val elision_trip : t -> pc:int -> unit
     just before they decline. *)
 
 val block_count : t -> int
-(** Compiled blocks installed (0 when the tier is off). *)
+(** Compiled blocks attached (0 when the tier is off). *)
 
 (** Register-file snapshots (memory snapshots live in {!Memory}; the OS
     layer combines both into checkpoints). *)

@@ -78,6 +78,11 @@ require possible
 require oob
 require unreachable
 require proven_pct
+# Host creation: template build vs. copy-on-write clone.
+require host_creation
+require template_ms
+require instantiate_us
+require retained_words
 # Table 3 stage timings.
 require table3_stage_ms
 require time_to_first_vsef

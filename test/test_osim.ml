@@ -406,6 +406,160 @@ let test_netlog_message_lookup_bounds () =
   Alcotest.check_raises "out of range" (Invalid_argument "Netlog.message")
     (fun () -> ignore (Osim.Netlog.message t 5))
 
+(* ------------------------------------------------------------------ *)
+(* Templates: clones share one compiled block table                    *)
+(* ------------------------------------------------------------------ *)
+
+let serve p msgs =
+  ignore (Osim.Process.run p);
+  List.iter
+    (fun m ->
+      ignore (Osim.Process.send_message p m);
+      ignore (Osim.Process.run p))
+    msgs
+
+(* Everything a benign stream leaves observable, down to which tier
+   retired each instruction. *)
+let profile p =
+  let c = p.Osim.Process.cpu in
+  ( Osim.Process.committed_outputs p,
+    [ c.Vm.Cpu.icount; c.Vm.Cpu.block_retired; c.Vm.Cpu.fast_retired;
+      c.Vm.Cpu.slow_retired ] )
+
+let check_profile =
+  check Alcotest.(pair (list (pair int string)) (list int))
+
+let table (p : Osim.Process.t) =
+  match p.Osim.Process.cpu.Vm.Cpu.blocks with
+  | Some bt -> bt
+  | None -> Alcotest.fail "no block table attached"
+
+(* [(entry_pc, length)] of every block in [p]'s table. *)
+let block_bounds p =
+  let bt = table p in
+  let segs = p.Osim.Process.cpu.Vm.Cpu.code.Vm.Program.segments in
+  let acc = ref [] in
+  Array.iteri
+    (fun si entry ->
+      Array.iteri
+        (fun ii bid ->
+          if bid >= 0 then
+            acc :=
+              ( segs.(si).Vm.Program.seg_base + (ii * Vm.Isa.instr_size),
+                bt.Vm.Cpu.bt_len.(bid) )
+              :: !acc)
+        entry)
+    bt.Vm.Cpu.bt_entry;
+  Array.of_list (List.rev !acc)
+
+let runnable p pc =
+  let bt = table p in
+  match Vm.Program.locate p.Osim.Process.cpu.Vm.Cpu.code pc with
+  | None -> Alcotest.fail "pc outside code"
+  | Some (si, ii) ->
+    Bytes.get bt.Vm.Cpu.bt_ok bt.Vm.Cpu.bt_cover.(si).(ii) <> '\000'
+
+let test_clone_matches_load key () =
+  let compiled = (Apps.Registry.find key).Apps.Registry.r_compile () in
+  let msgs = Apps.Registry.workload ~seed:5 key 20 in
+  let fresh = Osim.Process.load ~aslr:true ~seed:17 compiled in
+  let clone =
+    Osim.Process.instantiate (Osim.Process.template ~aslr:true ~seed:17 compiled)
+  in
+  serve fresh msgs;
+  serve clone msgs;
+  check_int "every request answered" 20
+    (List.length (Osim.Process.committed_outputs clone));
+  check_bool "block tier engaged" true
+    (clone.Osim.Process.cpu.Vm.Cpu.block_retired > 0);
+  check_profile "clone == fresh load" (profile fresh) (profile clone)
+
+(* The three hottest multi-instruction blocks of [tpl] on [msgs], found
+   by hooking every block entry of a probe clone. *)
+let hot_blocks tpl msgs =
+  let probe = Osim.Process.instantiate tpl in
+  let hits = Hashtbl.create 64 in
+  Array.iter
+    (fun (pc, len) ->
+      if len >= 2 then
+        ignore
+          (Vm.Cpu.add_pc_hook probe.Osim.Process.cpu ~pc (fun _ ->
+               Hashtbl.replace hits pc
+                 (len + Option.value ~default:0 (Hashtbl.find_opt hits pc)))))
+    (block_bounds probe);
+  serve probe msgs;
+  match
+    List.sort (fun (_, a) (_, b) -> compare b a) (List.of_seq (Hashtbl.to_seq hits))
+  with
+  | (x, _) :: (y, _) :: (z, _) :: _ -> (x, y, z)
+  | _ -> Alcotest.fail "fewer than three hot blocks"
+
+let test_clone_isolation () =
+  let key = "apache1" in
+  let compiled = (Apps.Registry.find key).Apps.Registry.r_compile () in
+  let tpl = Osim.Process.template ~aslr:true ~seed:3 compiled in
+  let msgs = Apps.Registry.workload ~seed:9 key 20 in
+  let x, y, z = hot_blocks tpl msgs in
+  let control = Osim.Process.instantiate tpl in
+  serve control msgs;
+  let a = Osim.Process.instantiate tpl and b = Osim.Process.instantiate tpl in
+  let ca = a.Osim.Process.cpu in
+  let h = Vm.Cpu.add_pc_hook ca ~pc:x (fun _ -> ()) in
+  Vm.Cpu.invalidate_block ca ~pc:y;
+  Vm.Cpu.elision_trip ca ~pc:z;
+  List.iter
+    (fun pc ->
+      check_bool "demoted on A" false (runnable a pc);
+      check_bool "runnable on B" true (runnable b pc))
+    [ x; y; z ];
+  check_int "A's trip counted" 1 ca.Vm.Cpu.elision_trips;
+  check_int "B never tripped" 0 b.Osim.Process.cpu.Vm.Cpu.elision_trips;
+  serve a msgs;
+  serve b msgs;
+  let outs_c, counts_c = profile control and outs_a, counts_a = profile a in
+  check Alcotest.(list (pair int string)) "A serves the same" outs_c outs_a;
+  check_int "A executes the same" (List.hd counts_c) (List.hd counts_a);
+  check_bool "A's demoted blocks leave the block tier" true
+    (List.nth counts_a 1 < List.nth counts_c 1);
+  check_profile "B untouched by A" (profile control) (profile b);
+  let late = Osim.Process.instantiate tpl in
+  serve late msgs;
+  check_profile "template untouched by A" (profile control) (profile late);
+  (* A hook-only demotion lifts on detach; an invalidation or a trip is
+     permanent, even across a later hook attach/detach. *)
+  Vm.Cpu.remove_hook ca h;
+  check_bool "hooked block re-promoted" true (runnable a x);
+  Vm.Cpu.remove_hook ca (Vm.Cpu.add_pc_hook ca ~pc:y (fun _ -> ()));
+  Vm.Cpu.remove_hook ca (Vm.Cpu.add_pc_hook ca ~pc:z (fun _ -> ()));
+  check_bool "invalidated block stays demoted" false (runnable a y);
+  check_bool "tripped block stays demoted" false (runnable a z)
+
+let test_clones_share_block_code () =
+  let tpl =
+    Osim.Process.template ~aslr:false ~seed:1
+      (Minic.Driver.compile_app ~name:"echo" echo_src)
+  in
+  let a = table (Osim.Process.instantiate tpl)
+  and b = table (Osim.Process.instantiate tpl) in
+  check_bool "closures shared" true (a.Vm.Cpu.bt_fn == b.Vm.Cpu.bt_fn);
+  check_bool "entry map shared" true (a.Vm.Cpu.bt_entry == b.Vm.Cpu.bt_entry);
+  check_bool "cover map shared" true (a.Vm.Cpu.bt_cover == b.Vm.Cpu.bt_cover);
+  check_bool "lengths shared" true (a.Vm.Cpu.bt_len == b.Vm.Cpu.bt_len);
+  check_bool "demotion state private" true
+    (a.Vm.Cpu.bt_ok != b.Vm.Cpu.bt_ok
+    && a.Vm.Cpu.bt_valid != b.Vm.Cpu.bt_valid
+    && a.Vm.Cpu.bt_hooks != b.Vm.Cpu.bt_hooks)
+
+let test_attach_foreign_table_rejected () =
+  let p1 = echo_proc () and p2 = echo_proc () in
+  let cpu1 = p1.Osim.Process.cpu and cpu2 = p2.Osim.Process.cpu in
+  let code1 = Vm.Block_compile.table cpu1.Vm.Cpu.code (block_bounds p1) in
+  Vm.Cpu.attach_blocks cpu1 code1;
+  check_bool "own code attaches" true (Vm.Cpu.block_count cpu1 > 0);
+  Alcotest.check_raises "different code"
+    (Invalid_argument "Cpu.attach_blocks: table was built for different code")
+    (fun () -> Vm.Cpu.attach_blocks cpu2 code1)
+
 let () =
   Alcotest.run "osim"
     [
@@ -447,6 +601,19 @@ let () =
             test_server_no_checkpointing_when_disabled;
           Alcotest.test_case "filtered messages" `Quick test_server_filtered_messages;
         ] );
+      ( "template",
+        List.map
+          (fun key ->
+            Alcotest.test_case ("clone == load " ^ key) `Quick
+              (test_clone_matches_load key))
+          [ "apache1"; "apache2"; "cvs"; "squid" ]
+        @ [
+            Alcotest.test_case "clone isolation" `Quick test_clone_isolation;
+            Alcotest.test_case "clones share block code" `Quick
+              test_clones_share_block_code;
+            Alcotest.test_case "foreign table rejected" `Quick
+              test_attach_foreign_table_rejected;
+          ] );
       ( "corners",
         [
           Alcotest.test_case "recv truncation" `Quick test_recv_truncates_long_messages;
