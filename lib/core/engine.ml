@@ -77,19 +77,25 @@ let effective_address cpu p =
   (Array.unsafe_get cpu.Vm.Cpu.regs ((p lsr 16) land 15) + (p asr 20))
   land 0xFFFFFFFF
 
-(* Declined by the fast executor: re-run on the instrumented path. A fault
-   or block raises out of [step] before commit, so the client sees
-   nothing — post-commit hook semantics. *)
+(* Declined by compiled code: re-run on the instrumented path. A fault or
+   block raises out of [step] before commit, so the client sees nothing —
+   post-commit hook semantics. *)
 let slow c cpu = c.on_effect (Vm.Cpu.step cpu)
 
-(* Segment-pinned inner loop (the shape of the interpreter's own fast
-   dispatch): while the pc stays inside [s], decode by direct indexing;
-   [base] is the code index of the segment's first instruction. Returns
-   the remaining fuel — unchanged iff no progress was made. Top-level
-   recursion, not a closure: the hot loop must not allocate. The plan
-   array and action ride in arguments rather than being re-read from the
-   client record each instruction. *)
-let rec fused_seg c plans act cpu s base fuel =
+(* One instruction retired by its single closure: account it as
+   [Vm.Cpu.run] does, so block + fast + slow stays equal to executed. *)
+let retire cpu =
+  cpu.Vm.Cpu.icount <- cpu.Vm.Cpu.icount + 1;
+  cpu.Vm.Cpu.fast_retired <- cpu.Vm.Cpu.fast_retired + 1
+
+(* Segment-pinned inner loop (the shape of the interpreter's own tier
+   loop): while the pc stays inside [s], run each instruction's compiled
+   single closure from [one]; [base] is the code index of the segment's
+   first instruction. Returns the remaining fuel — unchanged iff no
+   progress was made. Top-level recursion, not a closure: the hot loop
+   must not allocate. The plan array and action ride in arguments rather
+   than being re-read from the client record each instruction. *)
+let rec fused_seg c plans act cpu s one base fuel =
   if cpu.Vm.Cpu.halted || fuel <= 0 then fuel
   else
     let pc = cpu.Vm.Cpu.pc in
@@ -99,18 +105,21 @@ let rec fused_seg c plans act cpu s base fuel =
     else begin
       let ii = off lsr 2 in
       let idx = base + ii in
-      let instr = Array.unsafe_get s.Vm.Program.seg_instrs ii in
       let p = Array.unsafe_get plans idx in
       (if p land client_mask = 0 then begin
-         if not (Vm.Cpu.exec_fast cpu instr) then slow c cpu
+         if (Array.unsafe_get one ii) cpu <> 0 then retire cpu else slow c cpu
        end
        else
          let ea = effective_address cpu p in
-         if Vm.Cpu.exec_fast cpu instr then act p ea idx else slow c cpu);
-      fused_seg c plans act cpu s base (fuel - 1)
+         if (Array.unsafe_get one ii) cpu <> 0 then begin
+           retire cpu;
+           act p ea idx
+         end
+         else slow c cpu);
+      fused_seg c plans act cpu s one base (fuel - 1)
     end
 
-let fused_run c cpu fuel =
+let fused_run c cpu (bt : Vm.Cpu.block_table) fuel =
   let segs = cpu.Vm.Cpu.code.Vm.Program.segments in
   let rec go n =
     if cpu.Vm.Cpu.halted then Vm.Cpu.Halted
@@ -124,7 +133,11 @@ let fused_run c cpu fuel =
     else
       let s = Array.unsafe_get segs i in
       if pc >= s.Vm.Program.seg_base && pc < s.Vm.Program.seg_limit then begin
-        let n' = fused_seg c c.plans c.act cpu s base n in
+        let n' =
+          fused_seg c c.plans c.act cpu s
+            (Array.unsafe_get bt.Vm.Cpu.bt_one i)
+            base n
+        in
         if n' = n then begin
           slow c cpu;
           go (n' - 1)
@@ -140,23 +153,15 @@ let fused_run c cpu fuel =
   | Vm.Event.Blocked -> Vm.Cpu.Blocked
 
 let run ?(fuel = 20_000_000) c cpu =
-  if Vm.Cpu.global_hook_count cpu = 0 && Vm.Cpu.pc_hook_count cpu = 0 then begin
-    let before = cpu.Vm.Cpu.icount and slow0 = cpu.Vm.Cpu.slow_retired in
-    let o = fused_run c cpu fuel in
-    (* Instructions [exec_fast] retired bypass the interpreter's dispatch:
-       charge them here (everything this replay executed minus what
-       [step] retired) so block + fast + slow stays equal to executed. *)
-    cpu.Vm.Cpu.fast_retired <-
-      cpu.Vm.Cpu.fast_retired
-      + (cpu.Vm.Cpu.icount - before)
-      - (cpu.Vm.Cpu.slow_retired - slow0);
-    o
-  end
-  else begin
-    (* Foreign hooks are listening: every instruction must take the hooked
-       interpreter, so the client rides along as one more post-hook. *)
+  match cpu.Vm.Cpu.blocks with
+  | Some bt
+    when Vm.Cpu.global_hook_count cpu = 0 && Vm.Cpu.pc_hook_count cpu = 0 ->
+    fused_run c cpu bt fuel
+  | _ ->
+    (* Foreign hooks are listening, or no compiled table is attached:
+       every instruction must take the hooked interpreter, so the client
+       rides along as one more post-hook. *)
     let hook = Vm.Cpu.add_post_hook cpu c.on_effect in
     Fun.protect
       ~finally:(fun () -> Vm.Cpu.remove_hook cpu hook)
       (fun () -> Vm.Cpu.run ~fuel cpu)
-  end

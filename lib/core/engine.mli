@@ -1,15 +1,17 @@
 (** The replay engine every heavyweight analysis runs on.
 
     Taint, membug and slicing replay the attack from a checkpoint on one
-    segment-pinned loop. It executes each instruction on the VM's
-    uninstrumented executor and hands the client its pre-decoded {e plan
+    segment-pinned loop. It executes each instruction on its compiled
+    single-instruction closure from the CPU's attached table
+    ({!Vm.Block_compile}) and hands the client its pre-decoded {e plan
     word} and the instruction's {e effective address}, read before it ran
     — the only pre-execution value any client needs.
-    Instructions the executor declines (syscalls, anything about to fault)
-    re-run on the instrumented path and reach the client as committed
-    effect records. When foreign hooks are installed (VSEF pc-hooks, a
-    flight recorder) the engine replays on {!Vm.Cpu.run} with the client
-    as one more global post-hook instead; results are identical. *)
+    Instructions compiled code declines (syscalls, anything about to
+    fault) re-run on the instrumented path and reach the client as
+    committed effect records. When foreign hooks are installed (VSEF
+    pc-hooks, a flight recorder) or no table is attached, the engine
+    replays on {!Vm.Cpu.run} with the client as one more global post-hook
+    instead; results are identical. *)
 
 val plans : Vm.Program.t -> (int -> Vm.Isa.instr -> int) -> int array
 (** [plans code f]: one plan word per instruction, indexed by {e code
@@ -31,7 +33,7 @@ type client = {
   plans : int array;  (** see {!plans} *)
   act : int -> int -> int -> unit;
       (** [act plan ea idx], right after the instruction at code index
-          [idx] retired on the fast path, for plan words with client bits.
+          [idx] retired on compiled code, for plan words with client bits.
           [ea] is the address of the instruction's one memory access
           (meaningless if it has none). *)
   on_effect : Vm.Event.effect_ -> unit;
@@ -42,5 +44,5 @@ type client = {
 val run : ?fuel:int -> client -> Vm.Cpu.t -> Vm.Cpu.outcome
 (** Replay until halt, fault, block or [fuel] instructions (default
     20,000,000), exactly as {!Vm.Cpu.run} would, with the client attached.
-    Fast-path instructions are charged to [fast_retired], so block + fast
-    + slow still equals executed. *)
+    Instructions retired on compiled code are charged to [fast_retired],
+    so block + fast + slow still equals executed. *)

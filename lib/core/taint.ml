@@ -701,7 +701,7 @@ let run ?(fuel = 20_000_000) ?static (proc : Osim.Process.t) : result =
 (** Replay with the tracker installed only at the pcs the static
     analysis proves it could ever matter at ([K], via per-pc post hooks)
     instead of a global hook; every other instruction retires on the
-    interpreter's uninstrumented fast path. Byte-identical results to
+    interpreter's compiled code. Byte-identical results to
     {!run} — [K]'s construction makes the skipped hook invocations
     provable no-ops, and a per-[Ret] tripwire reverts to a global hook
     the moment a return lands off the statically assumed return-site

@@ -74,7 +74,7 @@ val run_pruned :
   ?fuel:int -> static:Static_an.Staint.t -> Osim.Process.t -> result
 (** Replay with the tracker installed only at the pcs the static analysis
     proves it could matter at (per-pc post hooks on the must-hook set [K]);
-    every other instruction retires on the uninstrumented fast path.
+    every other instruction retires on the interpreter's compiled code.
     Byte-identical results to {!run}. *)
 
 val vsef_of_result :

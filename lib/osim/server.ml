@@ -77,7 +77,8 @@ let register_metrics t registry =
       Netlog.message_count t.proc.Process.net);
   let cpu = t.proc.Process.cpu in
   gauge "sweeper_vm_fast_instructions"
-    "instructions retired on the uninstrumented fast path" (fun () ->
+    "instructions retired one at a time by compiled single-instruction \
+     closures" (fun () ->
       cpu.Vm.Cpu.fast_retired);
   gauge "sweeper_vm_slow_instructions"
     "instructions retired on the instrumented path" (fun () ->
@@ -85,7 +86,7 @@ let register_metrics t registry =
   gauge "sweeper_vm_block_instructions"
     "instructions retired inside block superinstructions" (fun () ->
       cpu.Vm.Cpu.block_retired);
-  gauge "sweeper_vm_blocks_compiled" "basic blocks compiled for tier 3"
+  gauge "sweeper_vm_blocks_compiled" "basic blocks compiled"
     (fun () -> Vm.Cpu.block_count cpu);
   gauge "sweeper_vm_faults" "machine faults surfaced" (fun () ->
       cpu.Vm.Cpu.fault_count);

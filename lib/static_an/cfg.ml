@@ -82,13 +82,6 @@ let block_at t pc =
   in
   search 0 hi
 
-let is_terminator (i : Vm.Isa.instr) =
-  match i with
-  | Jmp _ | Jcc _ | Call _ | CallInd _ | Ret | Halt -> true
-  | Mov _ | Bin _ | Not _ | Neg _ | Load _ | Loadb _ | Store _ | Storeb _
-  | Push _ | Pop _ | Cmp _ | Syscall _ | Nop ->
-    false
-
 (* A direct target that lands on a decoded instruction, or [None]. *)
 let static_target prog (tgt : Vm.Isa.target) =
   match tgt with
@@ -109,7 +102,7 @@ let build (prog : Vm.Program.t) : t =
       Array.iteri
         (fun i instr ->
           let pc = base + (i * Vm.Isa.instr_size) in
-          if is_terminator instr && i + 1 < Array.length instrs then
+          if Vm.Isa.is_terminator instr && i + 1 < Array.length instrs then
             mark_leader (pc + Vm.Isa.instr_size);
           match instr with
           | Vm.Isa.Jmp tgt | Vm.Isa.Jcc (_, tgt) | Vm.Isa.Call tgt -> (
@@ -152,7 +145,7 @@ let build (prog : Vm.Program.t) : t =
         if Hashtbl.mem leaders pc then flush ();
         if !cur = [] then cur_pc := pc;
         cur := (pc, instrs.(i)) :: !cur;
-        if is_terminator instrs.(i) then flush ()
+        if Vm.Isa.is_terminator instrs.(i) then flush ()
       done;
       flush ())
     segs;

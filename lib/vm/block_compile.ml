@@ -1,4 +1,5 @@
-(** Basic-block superinstruction compiler (execution tier 3).
+(** The compiled execution tier: the one copy of instruction semantics
+    besides the reference {!Cpu.step}.
 
     Each basic block is compiled once into a chain of specialized OCaml
     closures — one per instruction, register indices and immediates
@@ -8,33 +9,39 @@
     {!Cpu.run}'s tier loop: no per-instruction fetch, no decode, no
     hook-mask probe, no pc/icount update in the straight-line middle.
     The bounds check and the hook-mask/fuel test happen once, at block
-    entry, in the dispatcher.
+    entry, in the dispatcher. The same {!compile_one} also compiles every
+    instruction on its own, fully guarded, for the places a block cannot
+    run: mid-block resumption, demoted blocks, the fuel tail, and the
+    replay engine's per-instruction loop.
 
-    The escape hatch is the same decline-before-mutate contract as
-    {!Cpu.exec_fast}, per instruction: anything the uninstrumented tier
-    cannot reproduce exactly — a syscall, a failing address-validity
-    check, a division by zero, an unresolved symbol, an invalid indirect
-    control target — makes its closure stop {e before touching any
-    state}, write the declining pc back, and return the number of
-    instructions already retired. The caller resumes per-instruction
-    execution at that pc, so mid-block faults leave state byte-identical
-    to per-instruction execution. Closures never touch [icount] or the
-    retirement counters; {!Cpu.run} accounts the returned count.
+    The escape hatch is a decline-before-mutate contract, per
+    instruction: anything compiled code cannot reproduce exactly — a
+    syscall, a failing address-validity check, a division by zero, an
+    unresolved symbol, an invalid indirect control target — makes its
+    closure stop {e before touching any state} and return the number of
+    instructions already retired; the caller moves the pc onto the
+    declining instruction and resumes there, so mid-block faults leave
+    state byte-identical to per-instruction execution. Closures never touch
+    [icount] or the retirement counters; the caller accounts the
+    returned count.
 
-    Semantics are a mirror of {!Cpu.exec_fast} (held to account by the
-    three-way differential suite in [test_vm_diff]): word accesses
-    validity-check only their first byte, [Pop] writes rd then SP, [Push]
-    reads its operand from pre-decrement registers, only [CallInd]/[Ret]
-    check their exec target, and [Halt] leaves pc at the halt
-    instruction. Registers and flags always hold unsigned 32-bit values,
-    so the specialized ALU closures can use plain masked arithmetic where
+    Semantics mirror {!Cpu.step}'s effect record (held to account by the
+    differential suite in [test_vm_diff]): word accesses validity-check
+    only their first byte, [Pop] writes rd then SP, [Push] reads its
+    operand from pre-decrement registers, only [CallInd]/[Ret] check
+    their exec target, and [Halt] leaves pc at the halt instruction.
+    Registers and flags always hold unsigned 32-bit values, so the
+    specialized ALU closures can use plain masked arithmetic where
     {!Isa.eval_binop} round-trips through sign extension. *)
 
 let um = Isa.word_mask
 
 (* Compile one instruction at [pc] (position [idx] inside its block) into
    a closure. Non-terminators tail-call [next]; terminators set the final
-   pc and return [idx + 1]; declines restore [pc] and return [idx].
+   pc and return [idx + 1]; declines return [idx] and leave the pc alone —
+   still the block's entry pc, since only terminators write it — for the
+   caller to move onto the declining instruction. A non-terminator's
+   closure therefore depends on [pc] only through a [safe] range.
    [safe] carries the statically proven constant address range of a
    memory access, when there is one: the access then range-checks against
    the baked-in bounds instead of walking [Layout.valid_data], and a
@@ -44,10 +51,6 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
     ~(next : Cpu.t -> int) (instr : Isa.instr) : Cpu.t -> int =
   let open Isa in
   let done_ = idx + 1 in
-  let decline (cpu : Cpu.t) =
-    cpu.Cpu.pc <- pc;
-    idx
-  in
   match instr with
   | Mov (rd, Imm v) ->
     let d = reg_index rd and v = to_u32 v in
@@ -108,7 +111,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         next cpu
     | Div ->
       let bs = to_s32 b in
-      if bs = 0 then decline
+      if bs = 0 then fun _ -> idx
       else
         fun cpu ->
           let r = cpu.Cpu.regs in
@@ -116,7 +119,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
           next cpu
     | Mod ->
       let bs = to_s32 b in
-      if bs = 0 then decline
+      if bs = 0 then fun _ -> idx
       else
         fun cpu ->
           let r = cpu.Cpu.regs in
@@ -176,7 +179,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
       fun cpu ->
         let r = cpu.Cpu.regs in
         let b = to_s32 (Array.unsafe_get r s) in
-        if b = 0 then decline cpu
+        if b = 0 then idx
         else begin
           Array.unsafe_set r d (to_u32 (to_s32 (Array.unsafe_get r d) / b));
           next cpu
@@ -185,7 +188,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
       fun cpu ->
         let r = cpu.Cpu.regs in
         let b = to_s32 (Array.unsafe_get r s) in
-        if b = 0 then decline cpu
+        if b = 0 then idx
         else begin
           Array.unsafe_set r d (to_u32 (to_s32 (Array.unsafe_get r d) mod b));
           next cpu
@@ -214,7 +217,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         end
         else begin
           Cpu.elision_trip cpu ~pc;
-          decline cpu
+          idx
         end
     | None ->
       fun cpu ->
@@ -223,7 +226,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
           Array.unsafe_set cpu.Cpu.regs d (Memory.load_word cpu.Cpu.mem addr);
           next cpu
         end
-        else decline cpu)
+        else idx)
   | Loadb (rd, rs, off) -> (
     let d = reg_index rd and s = reg_index rs in
     match safe with
@@ -236,7 +239,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         end
         else begin
           Cpu.elision_trip cpu ~pc;
-          decline cpu
+          idx
         end
     | None ->
       fun cpu ->
@@ -245,7 +248,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
           Array.unsafe_set cpu.Cpu.regs d (Memory.load_byte cpu.Cpu.mem addr);
           next cpu
         end
-        else decline cpu)
+        else idx)
   | Store (rbase, off, rs) -> (
     let b = reg_index rbase and s = reg_index rs in
     match safe with
@@ -258,7 +261,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         end
         else begin
           Cpu.elision_trip cpu ~pc;
-          decline cpu
+          idx
         end
     | None ->
       fun cpu ->
@@ -267,7 +270,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
           Memory.store_word cpu.Cpu.mem addr (Array.unsafe_get cpu.Cpu.regs s);
           next cpu
         end
-        else decline cpu)
+        else idx)
   | Storeb (rbase, off, rs) -> (
     let b = reg_index rbase and s = reg_index rs in
     match safe with
@@ -280,7 +283,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         end
         else begin
           Cpu.elision_trip cpu ~pc;
-          decline cpu
+          idx
         end
     | None ->
       fun cpu ->
@@ -289,7 +292,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
           Memory.store_byte cpu.Cpu.mem addr (Array.unsafe_get cpu.Cpu.regs s);
           next cpu
         end
-        else decline cpu)
+        else idx)
   | Push (Imm v) ->
     let v = to_u32 v in
     fun cpu ->
@@ -300,7 +303,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         Array.unsafe_set r 10 sp';
         next cpu
       end
-      else decline cpu
+      else idx
   | Push (Reg rs) ->
     let s = reg_index rs in
     fun cpu ->
@@ -312,7 +315,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         Array.unsafe_set r 10 sp';
         next cpu
       end
-      else decline cpu
+      else idx
   | Pop rd ->
     let d = reg_index rd in
     fun cpu ->
@@ -324,7 +327,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         Array.unsafe_set r 10 ((sp + 4) land um);
         next cpu
       end
-      else decline cpu
+      else idx
   | Cmp (rr, Imm y) ->
     let i = reg_index rr and y = to_u32 y in
     fun cpu ->
@@ -395,7 +398,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         cpu.Cpu.pc <- a;
         done_
       end
-      else decline cpu
+      else idx
   | CallInd rr ->
     let i = reg_index rr in
     let ret = pc + instr_size in
@@ -412,7 +415,7 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
         cpu.Cpu.pc <- target;
         done_
       end
-      else decline cpu
+      else idx
   | Ret ->
     fun cpu ->
       let r = cpu.Cpu.regs in
@@ -424,9 +427,9 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
           cpu.Cpu.pc <- target;
           done_
         end
-        else decline cpu
+        else idx
       end
-      else decline cpu
+      else idx
   | Halt ->
     fun cpu ->
       cpu.Cpu.pc <- pc;
@@ -441,13 +444,15 @@ let compile_one ~pc ~idx ~(safe : (int * int) option)
   | Jmp (Lbl _)
   | Jcc (_, Lbl _)
   | Call (Lbl _) ->
-    decline
+    fun _ -> idx
 
 (** Compile the [len]-instruction block starting at [entry_pc] into one
     fused closure. Built right to left so each instruction's closure
     captures its successor; a block that ends without a terminator (its
     successor is a branch target) gets a synthetic tail that materializes
-    the fall-through pc. *)
+    the fall-through pc. Only the last instruction may be a terminator:
+    a decline leaves the entry pc in place, which is sound only while no
+    earlier instruction has written the pc. *)
 let compile ?(safe_of = fun (_ : int) -> None) (code : Program.t) ~entry_pc
     ~len : Cpu.t -> int =
   match Program.locate code entry_pc with
@@ -456,6 +461,10 @@ let compile ?(safe_of = fun (_ : int) -> None) (code : Program.t) ~entry_pc
     let s = code.Program.segments.(si) in
     if len <= 0 || ii + len > Array.length s.Program.seg_instrs then
       invalid_arg "Block_compile.compile: block overruns its segment";
+    for k = ii to ii + len - 2 do
+      if Isa.is_terminator s.Program.seg_instrs.(k) then
+        invalid_arg "Block_compile.compile: terminator inside a block"
+    done;
     let end_pc = entry_pc + (len * Isa.instr_size) in
     let fin (cpu : Cpu.t) =
       cpu.Cpu.pc <- end_pc;
@@ -471,13 +480,45 @@ let compile ?(safe_of = fun (_ : int) -> None) (code : Program.t) ~entry_pc
     in
     build (len - 1) fin
 
+(* The continuation every single-instruction closure falls through to:
+   the instruction ran with the pc still on it, so one closure serves
+   every pc. *)
+let fall_one (cpu : Cpu.t) =
+  cpu.Cpu.pc <- cpu.Cpu.pc + Isa.instr_size;
+  1
+
 (** Compile every block of [bounds] — [(entry_pc, length)] pairs,
-    typically [Static_an.Cfg.block_bounds] — into the program's shared
-    table. The closures capture only constants derived from [code] and
-    [safe_of] (never a CPU), so the table serves every CPU running
-    [code]. *)
+    typically [Static_an.Cfg.block_bounds] — and every instruction on its
+    own into the program's shared table. The single-instruction closures
+    ignore [safe_of]: they run where a block could not, including blocks
+    an elision trip demoted, so they never trust a proof. A
+    non-terminator's single does not depend on its pc, so equal
+    instructions share one closure (generated code repeats a few hundred
+    distinct instructions thousands of times). The closures capture only
+    constants derived from [code] and [safe_of] (never a CPU), so the
+    table serves every CPU running [code]. *)
 let table ?safe_of (code : Program.t) (bounds : (int * int) array) =
-  Cpu.block_code code
+  let shared = Hashtbl.create 512 in
+  let single pc instr =
+    if Isa.is_terminator instr then
+      compile_one ~pc ~idx:0 ~safe:None ~next:fall_one instr
+    else
+      match Hashtbl.find_opt shared instr with
+      | Some f -> f
+      | None ->
+        let f = compile_one ~pc ~idx:0 ~safe:None ~next:fall_one instr in
+        Hashtbl.add shared instr f;
+        f
+  in
+  let one =
+    Array.map
+      (fun s ->
+        Array.mapi
+          (fun ii -> single (s.Program.seg_base + (ii * Isa.instr_size)))
+          s.Program.seg_instrs)
+      code.Program.segments
+  in
+  Cpu.block_code code ~one
     (Array.map
        (fun (entry_pc, len) -> (entry_pc, len, compile ?safe_of code ~entry_pc ~len))
        bounds)

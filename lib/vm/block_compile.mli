@@ -1,14 +1,17 @@
-(** Basic-block superinstruction compiler (execution tier 3).
+(** The compiled execution tier: the one copy of instruction semantics
+    besides the reference {!Cpu.step}.
 
     Compiles each basic block of a program into one fused OCaml closure —
     a chain of per-instruction specialized closures where fallthrough is
     a tail call — so {!Cpu.run} pays one bounds check and one
-    hook-mask/fuel test per {e block} instead of per instruction. Every
-    closure honors the same decline-before-mutate contract as
-    {!Cpu.exec_fast}: a mid-block syscall, fault, unresolved symbol, or
-    invalid indirect-control target stops before mutating state and hands
-    the pc back to the per-instruction tiers, leaving machine state
-    byte-identical to per-instruction execution.
+    hook-mask/fuel test per {e block} instead of per instruction, and
+    compiles every instruction on its own into a fully guarded
+    single-instruction closure for the places a block cannot run
+    (mid-block resumption, demoted blocks, the fuel tail, the replay
+    engine). Every closure honors a decline-before-mutate contract: a
+    syscall, fault, unresolved symbol, or invalid indirect-control target
+    stops before mutating state and hands the pc back to {!Cpu.step},
+    leaving machine state byte-identical to per-instruction execution.
 
     {b Bounds-proof elision.} When the caller supplies [safe_of] — per-pc
     facts from {!Static_an.Absint} — each Load/Loadb/Store/Storeb whose
@@ -20,9 +23,10 @@
     compare is also the soundness tripwire: an address outside the range
     (only reachable via a control-flow hijack, or a wrong proof) counts
     an {!Cpu.elision_trip}, permanently demotes the block to the fully
-    guarded tiers on the tripping CPU (the shared closure is untouched;
-    only that CPU's demotion state changes), and declines — behaviour stays byte-identical to a
-    never-elided run in every case; only tier accounting differs. *)
+    guarded single-instruction closures on the tripping CPU (the shared
+    closures are untouched; only that CPU's demotion state changes), and
+    declines — behaviour stays byte-identical to a never-elided run in
+    every case; only tier accounting differs. *)
 
 val compile :
   ?safe_of:(int -> (int * int) option) ->
@@ -32,15 +36,17 @@ val compile :
   Cpu.t ->
   int
 (** [compile code ~entry_pc ~len] fuses the [len] instructions starting
-    at [entry_pc] into one closure obeying the tier-3 contract: it
+    at [entry_pc] into one closure obeying the block contract: it
     returns the number of instructions retired (= [len] iff the whole
-    block ran, including via a taken terminator), leaves [pc] at the
-    next instruction to execute, and never touches [icount] or the
-    retirement counters — {!Cpu.run} accounts the returned count.
-    Raises [Invalid_argument] if the range is not decoded code within a
-    single segment. [safe_of pc] returning [Some (lo, hi)] elides the
-    memory guard of the access at [pc] down to a range check against
-    the constant region [\[lo, hi)]. *)
+    block ran, including via a taken terminator, with [pc] at the next
+    instruction to execute; less on a decline, with [pc] left at
+    [entry_pc] for the caller to advance by that many instructions), and
+    never touches [icount] or the retirement counters — {!Cpu.run}
+    accounts the returned count. Raises [Invalid_argument] if the range
+    is not decoded code within a single segment, or if any instruction
+    but the last is an {!Isa.is_terminator}. [safe_of pc] returning
+    [Some (lo, hi)] elides the memory guard of the access at [pc] down to
+    a range check against the constant region [\[lo, hi)]. *)
 
 val table :
   ?safe_of:(int -> (int * int) option) ->
@@ -48,9 +54,12 @@ val table :
   (int * int) array ->
   Cpu.block_code
 (** [table code bounds] compiles each [(entry_pc, length)] pair —
-    typically [Static_an.Cfg.block_bounds code] — into the program's
-    shared block table. Compile it once per program: the closures
-    capture no CPU, so one table serves every CPU running [code] through
+    typically [Static_an.Cfg.block_bounds code] — and every instruction
+    of [code] on its own into the program's shared table. [safe_of]
+    applies to the blocks only: the single-instruction closures keep
+    every guard, so a block demoted by an elision trip never trusts a
+    proof again. Compile it once per program: the closures capture no
+    CPU, so one table serves every CPU running [code] through
     {!Cpu.attach_blocks}, each with its own demotion state. *)
 
 val install :

@@ -9,16 +9,19 @@
     instrumentation to a running process.
 
     That effect record is pure overhead when nobody is listening, so the
-    interpreter is tiered: {!run} consults cached hook counters and a
-    per-pc presence mask, and executes unhooked instructions by direct
-    interpretation ({!exec_fast}) with no intermediate record. Any
-    condition the fast path cannot reproduce exactly — a syscall, a
-    failing address-validity check, an unresolved symbol — makes it
-    decline {e before mutating any state}, and the instruction re-executes
-    on the instrumented path, so deferred-fault semantics (faults recorded
-    in [e_fault], raised at commit, vetoable by a VSEF) are preserved
-    byte for byte. A VSEF-hardened server therefore pays slow-path cost
-    only at its hooked pcs: overhead proportional to hooked instructions. *)
+    interpreter has two tiers. {!step} is the reference: the only code
+    here that interprets an {!Isa.instr}. With a compiled table attached
+    (see {!Block_compile}), {!run} consults cached hook counters and a
+    per-pc presence mask and executes unhooked instructions as compiled
+    closures — a whole basic block per call, or one instruction at a time
+    where a block cannot run — with no intermediate record. Any condition
+    compiled code cannot reproduce exactly — a syscall, a failing
+    address-validity check, an unresolved symbol — makes it decline
+    {e before mutating any state}, and the instruction re-executes on
+    {!step}, so deferred-fault semantics (faults recorded in [e_fault],
+    raised at commit, vetoable by a VSEF) are preserved byte for byte. A
+    VSEF-hardened server therefore pays slow-path cost only at its hooked
+    pcs: overhead proportional to hooked instructions. *)
 
 type hook = Event.effect_ -> unit
 
@@ -50,28 +53,28 @@ type t = {
   mutable halted : bool;
   mutable icount : int;  (** dynamic instructions executed *)
   mutable fast_retired : int;
-      (** instructions retired on the uninstrumented fast path. Batched:
-          charged at each fast-run exit, never per instruction, so the
-          hot loop is untouched. Monotonic — unlike [icount], rollback
-          does not rewind it. *)
+      (** instructions retired one at a time by compiled single-instruction
+          closures. Monotonic — unlike [icount], rollback does not rewind
+          it. *)
   mutable slow_retired : int;
       (** instructions retired on the instrumented path. Monotonic. *)
   mutable block_retired : int;
       (** instructions retired inside compiled basic-block
-          superinstructions (tier 3). Batched per block. Monotonic. *)
+          superinstructions. Batched per block. Monotonic. *)
   mutable fault_count : int;  (** machine faults surfaced by {!run} *)
   mutable elision_trips : int;
       (** times a bounds-elided block closure saw an address outside its
           statically proven range — each trip permanently demotes the
-          block to the fully guarded tiers (see {!Block_compile}) *)
+          block to the fully guarded single-instruction closures (see
+          {!Block_compile}) *)
   hooks : hooks;
   pc_hook_mask : Bytes.t array;
       (** parallel to [code.segments]: byte [i] is non-zero iff some per-pc
           hook (pre or post) is installed at that instruction *)
   mutable blocks : block_table option;
       (** this CPU's view of a shared compiled block table, when attached
-          (see {!Block_compile}); [None] falls back to per-instruction
-          tiers *)
+          (see {!Block_compile}); [None] runs every instruction on
+          {!step} *)
   scratch : Event.effect_;
       (** the one effect record the instrumented path reuses for every
           instruction — hooks may read it only during their callback *)
@@ -81,10 +84,11 @@ type t = {
   scr_mw : Event.access list;  (** preallocated [[scr_write]] *)
 }
 
-(* The block-superinstruction tier's dispatch tables, in two parts.
+(* The compiled tier's dispatch tables, in two parts.
 
    The code part ([block_code]) is a pure function of the program: the
-   entry and cover maps, block lengths, and the fused closures. It is
+   entry and cover maps, block lengths, the fused block closures, and one
+   single-instruction closure per instruction. It is
    built once per program and never written afterwards, so every CPU
    running that program — clones of one process template, on any domain
    — shares it read-only.
@@ -101,6 +105,7 @@ and block_code = {
   bc_cover : int array array;
   bc_len : int array;
   bc_fn : (t -> int) array;
+  bc_one : (t -> int) array array;
 }
 
 and block_table = {
@@ -113,11 +118,18 @@ and block_table = {
   bt_len : int array;  (** shared: per block, instruction count *)
   bt_fn : (t -> int) array;
       (** shared: per block, the fused closure. Returns the number of
-          instructions retired (= length on completion; on a mid-block
-          decline, state — including [pc] — is byte-identical to
-          per-instruction execution up to the declining pc, which has not
-          run). Never touches [icount] or the retirement counters; the
-          caller accounts. *)
+          instructions retired: the length on completion, with [pc] at the
+          next instruction. On a mid-block decline [pc] is left at the
+          block entry and every other piece of state is byte-identical to
+          per-instruction execution up to the declining instruction, which
+          has not run; the caller moves [pc] onto it. Never touches
+          [icount] or the retirement counters; the caller accounts. *)
+  bt_one : (t -> int) array array;
+      (** shared: per segment, instruction index -> that instruction's
+          fully guarded single closure. Returns 1 when it retired the
+          instruction (pc advanced) and 0 when it declined before
+          mutating any state. Never touches [icount] or the retirement
+          counters. *)
   bt_hooks : int array;  (** per CPU, per block: pcs on the hook mask *)
   bt_valid : Bytes.t;  (** per CPU, per block: ['\001'] unless invalidated *)
   bt_ok : Bytes.t;  (** per CPU, per block: [bt_valid] && [bt_hooks] = 0 *)
@@ -204,9 +216,9 @@ type hook_id =
    The block tier piggybacks on the same transition: each mask-byte flip
    adjusts the covering block's hooked-pc count and its runnable flag, so
    a hook attached anywhere inside a compiled block demotes that block to
-   per-instruction execution no later than the next block entry (the
+   single-instruction execution no later than the next block entry (the
    compiled body never runs user code, so no hook can appear while it is
-   in flight — exactly the fast loop's staleness argument). *)
+   in flight — exactly the tier loop's staleness argument). *)
 let sync_block_ok bt bid =
   Bytes.set bt.bt_ok bid
     (if bt.bt_hooks.(bid) = 0 && Bytes.get bt.bt_valid bid <> '\000' then
@@ -310,15 +322,24 @@ let pc_hook_count cpu =
 let global_hook_count cpu = cpu.hooks.n_pre_all + cpu.hooks.n_post_all
 
 (* ------------------------------------------------------------------ *)
-(* Block-superinstruction table management (tier 3)                     *)
+(* Compiled table management                                           *)
 (* ------------------------------------------------------------------ *)
 
-(** Build a program's shared block table from [(entry_pc, length,
-    closure)] triples, normally produced by {!Block_compile.table}.
-    Validates every block against [code] once, here, so attaching the
-    table to a CPU never has to. *)
-let block_code (code : Program.t) (blocks : (int * int * (t -> int)) array) =
+(** Build a program's shared table from [(entry_pc, length, closure)]
+    block triples and the per-segment single-instruction closures [one],
+    normally produced by {!Block_compile.table}. Validates everything
+    against [code] once, here, so attaching the table to a CPU never has
+    to. *)
+let block_code (code : Program.t) ~one
+    (blocks : (int * int * (t -> int)) array) =
   let segs = code.Program.segments in
+  if
+    Array.length one <> Array.length segs
+    || not
+         (Array.for_all2
+            (fun o s -> Array.length o = Array.length s.Program.seg_instrs)
+            one segs)
+  then invalid_arg "Cpu.block_code: single closures do not match the code";
   let per_seg () =
     Array.map (fun s -> Array.make (Array.length s.Program.seg_instrs) (-1)) segs
   in
@@ -339,10 +360,11 @@ let block_code (code : Program.t) (blocks : (int * int * (t -> int)) array) =
     bc_cover;
     bc_len = Array.map (fun (_, len, _) -> len) blocks;
     bc_fn = Array.map (fun (_, _, fn) -> fn) blocks;
+    bc_one = one;
   }
 
-(** Engage tier 3 on [cpu] with a shared table: allocate this CPU's
-    demotion state and count the hooks already on its mask, so blocks
+(** Engage the compiled tier on [cpu] with a shared table: allocate this
+    CPU's demotion state and count the hooks already on its mask, so blocks
     covering hooked pcs start demoted (a CPU with no per-pc hooks has an
     all-zero mask and skips the scan); {!sync_mask} keeps the counts live
     from then on. Replaces any previously attached table. *)
@@ -356,6 +378,7 @@ let attach_blocks cpu bc =
       bt_cover = bc.bc_cover;
       bt_len = bc.bc_len;
       bt_fn = bc.bc_fn;
+      bt_one = bc.bc_one;
       bt_hooks = Array.make nb 0;
       bt_valid = Bytes.make nb '\001';
       bt_ok = Bytes.make nb '\001';
@@ -378,8 +401,8 @@ let attach_blocks cpu bc =
 
 let clear_blocks cpu = cpu.blocks <- None
 
-(** Permanently demote the block containing [pc] to the per-instruction
-    tiers (e.g. because a static-analysis client no longer trusts it).
+(** Permanently demote the block containing [pc] to single-instruction
+    closures (e.g. because a static-analysis client no longer trusts it).
     Takes effect no later than the next block entry. *)
 let invalidate_block cpu ~pc =
   match cpu.blocks with
@@ -397,7 +420,7 @@ let invalidate_block cpu ~pc =
 (** A bounds-elided closure caught an address outside its statically
     proven range: count the trip and permanently re-enable the full
     guards for that block. The caller then declines, so the access
-    re-executes under the instrumented tier's validity check —
+    re-executes under a fully guarded validity check —
     observable state stays byte-identical to a never-elided run. *)
 let elision_trip cpu ~pc =
   cpu.elision_trips <- cpu.elision_trips + 1;
@@ -688,233 +711,31 @@ let step cpu =
   eff
 
 (* ------------------------------------------------------------------ *)
-(* Uninstrumented fast path                                            *)
+(* Compiled tier loop                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The fast path indexes code and masks with shifts; hold it to the ISA's
+(* The tier loop indexes code and masks with shifts; hold it to the ISA's
    actual encoding width. *)
 let () = assert (Isa.instr_size = 4)
 
-(* Helpers are top-level (not closures inside [exec_fast]) so the hot loop
-   allocates nothing. *)
-let advance cpu =
-  cpu.pc <- cpu.pc + Isa.instr_size;
-  cpu.icount <- cpu.icount + 1
-
-let jump cpu a =
-  cpu.pc <- a;
-  cpu.icount <- cpu.icount + 1
-
-(* rd := rd <op> b, declining division by zero (the slow path turns that
-   into a [Div_zero] fault). [Isa.eval_binop] raises only for Div/Mod. *)
-let bin_fast cpu rd op b =
-  match (op : Isa.binop) with
-  | Div | Mod ->
-    if Isa.to_s32 b = 0 then false
-    else begin
-      let i = Isa.reg_index rd in
-      Array.unsafe_set cpu.regs i
-        (Isa.eval_binop op (Array.unsafe_get cpu.regs i) b);
-      advance cpu;
-      true
-    end
-  | Add | Sub | Mul | And | Or | Xor | Shl | Shr ->
-    let i = Isa.reg_index rd in
-    Array.unsafe_set cpu.regs i
-      (Isa.eval_binop op (Array.unsafe_get cpu.regs i) b);
-    advance cpu;
-    true
-
-let push_fast cpu v =
-  let sp' = Isa.to_u32 (Array.unsafe_get cpu.regs 10 - 4) in
-  if Layout.valid_data cpu.layout sp' then begin
-    Memory.store_word cpu.mem sp' v;
-    Array.unsafe_set cpu.regs 10 sp';
-    advance cpu;
-    true
-  end
-  else false
-
-(* Direct interpretation of one instruction: no effect record, no hook
-   dispatch, no allocation, no exception traffic. Mirrors
-   compute_effect/commit exactly: word accesses validity-check only their
-   first byte, Pop writes rd then SP (so [Pop SP] leaves sp+4), Push reads
-   the operand from pre-decrement registers, only CallInd/Ret check their
-   exec target, and Halt leaves pc in place. Anything that would fault,
-   block, or needs the effect record (syscalls, unresolved symbols)
-   returns [false] before touching state, and the instruction re-runs on
-   the slow path where deferred-fault/veto semantics live. Returns [true]
-   when the instruction fully executed (icount already bumped). *)
-let exec_fast cpu (instr : Isa.instr) =
-  let open Isa in
-  let regs = cpu.regs in
-  match instr with
-  | Mov (rd, Imm v) ->
-    Array.unsafe_set regs (reg_index rd) (to_u32 v);
-    advance cpu;
-    true
-  | Mov (rd, Reg rs) ->
-    Array.unsafe_set regs (reg_index rd) (Array.unsafe_get regs (reg_index rs));
-    advance cpu;
-    true
-  | Bin (op, rd, Imm b) -> bin_fast cpu rd op (to_u32 b)
-  | Bin (op, rd, Reg rs) ->
-    bin_fast cpu rd op (Array.unsafe_get regs (reg_index rs))
-  | Not rd ->
-    let i = reg_index rd in
-    Array.unsafe_set regs i (to_u32 (lnot (Array.unsafe_get regs i)));
-    advance cpu;
-    true
-  | Neg rd ->
-    let i = reg_index rd in
-    Array.unsafe_set regs i (to_u32 (-Array.unsafe_get regs i));
-    advance cpu;
-    true
-  | Load (rd, rs, off) ->
-    let addr = to_u32 (Array.unsafe_get regs (reg_index rs) + off) in
-    if Layout.valid_data cpu.layout addr then begin
-      Array.unsafe_set regs (reg_index rd) (Memory.load_word cpu.mem addr);
-      advance cpu;
-      true
-    end
-    else false
-  | Loadb (rd, rs, off) ->
-    let addr = to_u32 (Array.unsafe_get regs (reg_index rs) + off) in
-    if Layout.valid_data cpu.layout addr then begin
-      Array.unsafe_set regs (reg_index rd) (Memory.load_byte cpu.mem addr);
-      advance cpu;
-      true
-    end
-    else false
-  | Store (rbase, off, rs) ->
-    let addr = to_u32 (Array.unsafe_get regs (reg_index rbase) + off) in
-    if Layout.valid_data cpu.layout addr then begin
-      Memory.store_word cpu.mem addr (Array.unsafe_get regs (reg_index rs));
-      advance cpu;
-      true
-    end
-    else false
-  | Storeb (rbase, off, rs) ->
-    let addr = to_u32 (Array.unsafe_get regs (reg_index rbase) + off) in
-    if Layout.valid_data cpu.layout addr then begin
-      Memory.store_byte cpu.mem addr (Array.unsafe_get regs (reg_index rs));
-      advance cpu;
-      true
-    end
-    else false
-  | Push (Imm v) -> push_fast cpu (to_u32 v)
-  | Push (Reg rs) -> push_fast cpu (Array.unsafe_get regs (reg_index rs))
-  | Pop rd ->
-    let sp = Array.unsafe_get regs 10 in
-    if Layout.valid_data cpu.layout sp then begin
-      let v = Memory.load_word cpu.mem sp in
-      Array.unsafe_set regs (reg_index rd) v;
-      Array.unsafe_set regs 10 (to_u32 (sp + 4));
-      advance cpu;
-      true
-    end
-    else false
-  | Cmp (r, Imm y) ->
-    cpu.flag_a <- Array.unsafe_get regs (reg_index r);
-    cpu.flag_b <- to_u32 y;
-    advance cpu;
-    true
-  | Cmp (r, Reg rs) ->
-    cpu.flag_a <- Array.unsafe_get regs (reg_index r);
-    cpu.flag_b <- Array.unsafe_get regs (reg_index rs);
-    advance cpu;
-    true
-  | Jmp (Addr a) ->
-    jump cpu a;
-    true
-  | Jcc (c, Addr a) ->
-    if eval_cond c cpu.flag_a cpu.flag_b then jump cpu a else advance cpu;
-    true
-  | Call (Addr a) ->
-    let sp' = to_u32 (Array.unsafe_get regs 10 - 4) in
-    if Layout.valid_data cpu.layout sp' then begin
-      Memory.store_word cpu.mem sp' (cpu.pc + instr_size);
-      Array.unsafe_set regs 10 sp';
-      jump cpu a;
-      true
-    end
-    else false
-  | CallInd r ->
-    let target = Array.unsafe_get regs (reg_index r) in
-    let sp' = to_u32 (Array.unsafe_get regs 10 - 4) in
-    if
-      Layout.valid_code cpu.layout target && Layout.valid_data cpu.layout sp'
-    then begin
-      Memory.store_word cpu.mem sp' (cpu.pc + instr_size);
-      Array.unsafe_set regs 10 sp';
-      jump cpu target;
-      true
-    end
-    else false
-  | Ret ->
-    let sp = Array.unsafe_get regs 10 in
-    if Layout.valid_data cpu.layout sp then begin
-      let target = Memory.load_word cpu.mem sp in
-      if Layout.valid_code cpu.layout target then begin
-        Array.unsafe_set regs 10 (to_u32 (sp + 4));
-        jump cpu target;
-        true
-      end
-      else false
-    end
-    else false
-  | Halt ->
-    cpu.halted <- true;
-    cpu.icount <- cpu.icount + 1;
-    true
-  | Nop ->
-    advance cpu;
-    true
-  | Syscall _
-  | Mov (_, Sym _)
-  | Bin (_, _, Sym _)
-  | Push (Sym _)
-  | Cmp (_, Sym _)
-  | Jmp (Lbl _)
-  | Jcc (_, Lbl _)
-  | Call (Lbl _) ->
-    false
-
-(* Tight fast loop pinned to one segment. While the pc stays inside [s]
-   and off the hook mask it executes by direct interpretation with no
-   per-instruction hook-counter reads and no segment search. Sound
-   because [exec_fast] runs no user code, so no hook can be installed
-   while this loop spins; every exit returns to the dispatcher, which
-   re-checks the global counters after any instrumented step. Top-level
-   recursion, not a local closure: the hot loop must not allocate.
-   Returns the remaining fuel (unchanged iff it made no progress). *)
-let rec fast_run cpu s mask n =
-  if cpu.halted || n <= 0 then n
-  else
-    let pc = cpu.pc in
-    let off = pc - s.Program.seg_base in
-    if off < 0 || pc >= s.Program.seg_limit then n (* left the segment *)
-    else if off land 3 <> 0 then n (* misaligned: slow path faults *)
-    else
-      let idx = off lsr 2 in
-      if Bytes.unsafe_get mask idx <> '\000' then n (* hooked pc *)
-      else if exec_fast cpu (Array.unsafe_get s.Program.seg_instrs idx) then
-        fast_run cpu s mask (n - 1)
-      else n (* declined (before any state change): slow path re-runs *)
-
-(* Tier-3 loop: like [fast_run], but when the pc sits on a runnable block
-   entry (and enough fuel remains to retire the whole block — the
-   block-entry fuel clamp that keeps {!run}'s [fuel] exact, so scheduler
-   quanta and checkpoint thresholds land on the same icounts as
-   per-instruction execution), the block's compiled closure executes the
+(* The compiled tier's loop, pinned to one segment. When the pc sits on a
+   runnable block entry (and enough fuel remains to retire the whole
+   block — the block-entry fuel clamp that keeps {!run}'s [fuel] exact,
+   so scheduler quanta and checkpoint thresholds land on the same icounts
+   as per-instruction execution), the block's fused closure executes the
    whole body with no per-instruction fetch/decode/mask work. Everything
    else — mid-block resumption after a decline, demoted (hooked or
    invalidated) blocks, the fuel tail — retires one instruction at a time
-   through [exec_fast]. Declines return with fuel reflecting the retired
-   prefix; the dispatcher's no-progress protocol (fuel unchanged => one
-   instrumented [step]) is preserved because a decline at the current pc
-   with no prior progress returns [n] untouched. *)
-let rec tier_run cpu s mask bt entry n =
+   through the table's single-instruction closures ([one]). Sound
+   because compiled code runs no user code, so no hook can be installed
+   while this loop spins; every exit returns to the dispatcher, which
+   re-checks the global counters after any instrumented step. Declines
+   return with fuel reflecting the retired prefix; the dispatcher's
+   no-progress protocol (fuel unchanged => one instrumented [step]) is
+   preserved because a decline at the current pc with no prior progress
+   returns [n] untouched. Top-level recursion, not a local closure: the
+   hot loop must not allocate. *)
+let rec tier_run cpu s mask bt entry one n =
   if cpu.halted || n <= 0 then n
   else
     let pc = cpu.pc in
@@ -935,25 +756,32 @@ let rec tier_run cpu s mask bt entry n =
           cpu.icount <- cpu.icount + r;
           cpu.block_retired <- cpu.block_retired + r;
           if r = Array.unsafe_get bt.bt_len bid then
-            tier_run cpu s mask bt entry (n - r)
-          else n - r (* declined mid-block: slow path re-runs at [pc] *)
+            tier_run cpu s mask bt entry one (n - r)
+          else begin
+            (* declined mid-block: the pc is still the entry's; put it on
+               the declining instruction *)
+            cpu.pc <- pc + (r lsl 2);
+            n - r
+          end
         end
-        else if exec_fast cpu (Array.unsafe_get s.Program.seg_instrs idx) then begin
+        else if (Array.unsafe_get one idx) cpu <> 0 then begin
+          cpu.icount <- cpu.icount + 1;
           cpu.fast_retired <- cpu.fast_retired + 1;
-          tier_run cpu s mask bt entry (n - 1)
+          tier_run cpu s mask bt entry one (n - 1)
         end
         else n (* declined (before any state change): slow path re-runs *)
 
 (** Run until halt, fault, block, or [fuel] instructions. Fault state is
     preserved (pc stays at the faulting instruction) so the core-dump
-    analyzer can inspect it. Unhooked instructions execute on the
-    uninstrumented fast path; observable semantics are identical to
-    stepping with {!step}. *)
+    analyzer can inspect it. With a block table attached and no global
+    hooks, unhooked instructions execute as compiled code; otherwise —
+    and at hooked pcs — on {!step}. Observable semantics are identical
+    to stepping with {!step}. *)
 let run ?(fuel = max_int) cpu =
   let segs = cpu.code.Program.segments in
   (* The exception handler lives outside the loop; [go]/[dispatch] stay
      tail-recursive (they carry no handler of their own). [dispatch]
-     always makes progress before looping back to [go]: if [fast_run]
+     always makes progress before looping back to [go]: if [tier_run]
      executed nothing at this pc, the instruction takes the instrumented
      [step] (which advances, faults, or blocks). *)
   let rec go n =
@@ -961,12 +789,13 @@ let run ?(fuel = max_int) cpu =
     else if n <= 0 then Out_of_fuel
     else
       let hs = cpu.hooks in
-      if hs.n_pre_all <> 0 || hs.n_post_all <> 0 then begin
+      match cpu.blocks with
+      | Some bt when hs.n_pre_all = 0 && hs.n_post_all = 0 ->
+        dispatch bt n cpu.pc 0
+      | _ ->
         ignore (step cpu : Event.effect_);
         go (n - 1)
-      end
-      else dispatch n cpu.pc 0
-  and dispatch n pc i =
+  and dispatch bt n pc i =
     if i >= Array.length segs then begin
       ignore (step cpu : Event.effect_) (* unmapped pc: faults there *)
       ; go (n - 1)
@@ -974,35 +803,21 @@ let run ?(fuel = max_int) cpu =
     else
       let s = Array.unsafe_get segs i in
       if pc >= s.Program.seg_base && pc < s.Program.seg_limit then begin
-        match cpu.blocks with
-        | Some bt ->
-          (* Block tier engaged: [tier_run] accounts its own retirement
-             (block-batched and per-single), so no batch charge here. *)
-          let n' =
-            tier_run cpu s
-              (Array.unsafe_get cpu.pc_hook_mask i)
-              bt
-              (Array.unsafe_get bt.bt_entry i)
-              n
-          in
-          if n' = n then begin
-            ignore (step cpu : Event.effect_);
-            go (n' - 1)
-          end
-          else go n'
-        | None ->
-          let n' = fast_run cpu s (Array.unsafe_get cpu.pc_hook_mask i) n in
-          if n' = n then begin
-            ignore (step cpu : Event.effect_);
-            go (n' - 1)
-          end
-          else begin
-            (* batch-account the whole fast burst at its exit *)
-            cpu.fast_retired <- cpu.fast_retired + (n - n');
-            go n'
-          end
+        let n' =
+          tier_run cpu s
+            (Array.unsafe_get cpu.pc_hook_mask i)
+            bt
+            (Array.unsafe_get bt.bt_entry i)
+            (Array.unsafe_get bt.bt_one i)
+            n
+        in
+        if n' = n then begin
+          ignore (step cpu : Event.effect_);
+          go (n' - 1)
+        end
+        else go n'
       end
-      else dispatch n pc (i + 1)
+      else dispatch bt n pc (i + 1)
   in
   try go fuel with
   | Event.Fault f ->

@@ -8,23 +8,27 @@
     veto a single store or control transfer before the corruption happens —
     the analogue of attaching PIN instrumentation to a running process.
 
-    The interpreter is tiered: {!run} executes unhooked instructions by
-    direct interpretation (no effect record, no hook dispatch) and drops
-    to the instrumented path only at pcs with hooks installed, when global
-    hooks exist, or for instructions the fast path cannot reproduce
-    exactly (syscalls, anything that would fault). Observable semantics
-    are identical either way; instrumentation overhead is proportional to
-    the hooked instructions actually executed. *)
+    The interpreter has two tiers. {!step} is the reference, and the only
+    interpreter of {!Isa.instr} in this module. With a compiled table
+    attached ({!attach_blocks}, built by {!Block_compile.table}), {!run}
+    executes unhooked instructions as compiled closures (no effect
+    record, no hook dispatch) and drops to {!step} only at pcs with hooks
+    installed, when global hooks exist, or for instructions compiled code
+    cannot reproduce exactly (syscalls, anything that would fault).
+    Observable semantics are identical either way; instrumentation
+    overhead is proportional to the hooked instructions actually
+    executed. *)
 
 type hook = Event.effect_ -> unit
 
 type hooks
 
 type block_code
-(** A program's compiled block table for the block-superinstruction tier
-    (tier 3): per basic block, a fused closure executing the whole body
-    with one bounds check and one hook-mask/fuel test at entry, plus the
-    pc -> block maps. Built once per program by {!Block_compile.table}
+(** A program's compiled table: per basic block, a fused closure
+    executing the whole body with one bounds check and one hook-mask/fuel
+    test at entry; per instruction, a fully guarded single-instruction
+    closure; plus the pc -> block maps. Built once per program by
+    {!Block_compile.table}
     and never written afterwards, so any number of CPUs running that
     program — on any domain — share it read-only via {!attach_blocks}. *)
 
@@ -36,7 +40,13 @@ type block_table = {
       (** shared: per segment, instruction index -> covering block id,
           else -1 *)
   bt_len : int array;  (** shared: per block, instruction count *)
-  bt_fn : (t -> int) array;  (** shared: per block, the fused closure *)
+  bt_fn : (t -> int) array;
+      (** shared: per block, the fused closure (returns the instructions
+          retired; on a decline it leaves [pc] at the block entry) *)
+  bt_one : (t -> int) array array;
+      (** shared: per segment, instruction index -> the single closure
+          (returns 1 when it retired the instruction, 0 when it declined
+          before mutating state) *)
   bt_hooks : int array;  (** per CPU, per block: pcs on the hook mask *)
   bt_valid : Bytes.t;  (** per CPU, per block: ['\001'] unless invalidated *)
   bt_ok : Bytes.t;  (** per CPU, per block: [bt_valid] && [bt_hooks] = 0 *)
@@ -60,21 +70,21 @@ and t = {
   mutable halted : bool;
   mutable icount : int;  (** dynamic instructions executed *)
   mutable fast_retired : int;
-      (** instructions retired on the uninstrumented fast path. Batched:
-          charged at each fast-run exit, never per instruction. Monotonic —
-          unlike [icount], rollback does not rewind it. *)
+      (** instructions retired one at a time by compiled single-instruction
+          closures. Monotonic — unlike [icount], rollback does not rewind
+          it. *)
   mutable slow_retired : int;
       (** instructions retired on the instrumented path. Monotonic. *)
   mutable block_retired : int;
       (** instructions retired inside compiled basic-block
-          superinstructions (tier 3). Batched per block. Monotonic;
+          superinstructions. Batched per block. Monotonic;
           [block_retired + fast_retired + slow_retired] equals the
           instructions ever executed, in every configuration. *)
   mutable fault_count : int;  (** machine faults surfaced by {!run} *)
   mutable elision_trips : int;
       (** times a bounds-elided block closure saw an address outside its
           statically proven range; each trip permanently demotes the
-          block to the fully guarded tiers *)
+          block to the fully guarded single-instruction closures *)
   hooks : hooks;
   pc_hook_mask : Bytes.t array;
       (** parallel to [code.segments]: non-zero bytes mark pcs with per-pc
@@ -134,18 +144,6 @@ val fetch : t -> int -> Isa.instr
     when the address is unmapped or misaligned — exactly the fault
     {!step} would raise. Allocation-free. *)
 
-val exec_fast : t -> Isa.instr -> bool
-(** Direct interpretation of one instruction: no effect record, no hook
-    dispatch, no allocation. Returns [true] when the instruction fully
-    executed (pc and icount already advanced). Returns [false] — {e before
-    mutating any state} — for anything it cannot reproduce exactly
-    (syscalls, unresolved symbols, any access or control transfer that
-    would fault); the caller must then re-execute the instruction with
-    {!step}, where deferred-fault and hook semantics live. This is the
-    building block {!run}'s fast path uses; it is exposed so heavyweight
-    analyses can fuse their shadow-state updates into a private loop
-    instead of paying the per-instruction effect-record cost. *)
-
 val step : t -> Event.effect_
 (** Execute one instruction on the instrumented path, always building the
     full effect record. The returned record is the CPU's reused scratch
@@ -157,26 +155,36 @@ val step : t -> Event.effect_
 
 val run : ?fuel:int -> t -> outcome
 (** Run until halt, fault, block, or [fuel] instructions. Fault state is
-    preserved so the core-dump analyzer can inspect it. Unhooked
-    instructions execute on the uninstrumented fast path — or, when a
-    block table is installed, on compiled block superinstructions —
-    observable semantics are identical to repeated {!step}. [fuel] is
-    exact in every tier: a block is entered only when the remaining fuel
-    covers its whole body (block-entry fuel clamping), so [Out_of_fuel]
-    lands on the same icount as per-instruction execution. *)
+    preserved so the core-dump analyzer can inspect it. With a table
+    attached and no global hooks, unhooked instructions execute as
+    compiled block superinstructions, or one at a time on the table's
+    single closures where a block cannot run (mid-block resume, demoted
+    blocks, the fuel tail); with no table, every instruction runs on
+    {!step}. Observable semantics are identical to repeated {!step}.
+    [fuel] is exact in every tier: a block is entered only when the
+    remaining fuel covers its whole body (block-entry fuel clamping), so
+    [Out_of_fuel] lands on the same icount as per-instruction
+    execution. *)
 
-(** {2 Block-superinstruction tier (tier 3)} *)
+(** {2 Compiled tier} *)
 
-val block_code : Program.t -> (int * int * (t -> int)) array -> block_code
+val block_code :
+  Program.t ->
+  one:(t -> int) array array ->
+  (int * int * (t -> int)) array ->
+  block_code
 (** Build the shared table of a program from compiled basic blocks given
-    as [(entry_pc, length, closure)] triples — normally via
+    as [(entry_pc, length, closure)] triples and from [one], the
+    single-instruction closures of every segment ([one.(si).(ii)] runs
+    instruction [ii] of segment [si]) — normally via
     {!Block_compile.table}, which derives the bounds from a CFG and
     compiles the closures. Raises [Invalid_argument] if a block's entry
-    is outside the program or the block overruns its segment. *)
+    is outside the program, a block overruns its segment, or [one] does
+    not have the program's shape. *)
 
 val attach_blocks : t -> block_code -> unit
-(** Engage tier 3 on a CPU with a shared table, replacing any previous
-    one. Allocates only this CPU's demotion state; blocks containing
+(** Engage the compiled tier on a CPU with a shared table, replacing any
+    previous one. Allocates only this CPU's demotion state; blocks containing
     currently hooked pcs start demoted, and subsequent hook
     attach/detach keeps the demotion in sync, effective no later than
     the next block entry. Raises [Invalid_argument] if the table was
@@ -184,11 +192,11 @@ val attach_blocks : t -> block_code -> unit
     physically: the closures bake in that program's instructions). *)
 
 val clear_blocks : t -> unit
-(** Remove the block table; execution falls back to the fast/slow tiers. *)
+(** Remove the table; every instruction then runs on {!step}. *)
 
 val invalidate_block : t -> pc:int -> unit
-(** Permanently demote the block containing [pc] to per-instruction
-    execution on this CPU only — other CPUs sharing the table keep
+(** Permanently demote the block containing [pc] to its single-instruction
+    closures on this CPU only — other CPUs sharing the table keep
     running it (takes effect no later than the next block entry). *)
 
 val elision_trip : t -> pc:int -> unit

@@ -99,6 +99,12 @@ type instr =
 (** Each instruction occupies this many bytes of code address space. *)
 let instr_size = 4
 
+let is_terminator = function
+  | Jmp _ | Jcc _ | Call _ | CallInd _ | Ret | Halt -> true
+  | Mov _ | Bin _ | Not _ | Neg _ | Load _ | Loadb _ | Store _ | Storeb _
+  | Push _ | Pop _ | Cmp _ | Syscall _ | Nop ->
+    false
+
 let cond_name = function
   | Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Le -> "le"
   | Gt -> "gt" | Ge -> "ge" | Ult -> "ult" | Uge -> "uge"

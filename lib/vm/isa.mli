@@ -94,6 +94,10 @@ type instr =
 val instr_size : int
 (** Bytes of code address space per instruction. *)
 
+val is_terminator : instr -> bool
+(** Control transfers ([Jmp], [Jcc], [Call], [CallInd], [Ret], [Halt]):
+    the instructions that end a basic block. *)
+
 val cond_name : cond -> string
 val binop_name : binop -> string
 

@@ -37,7 +37,7 @@ require ns_per_instr_flight_recorder
 require flight_recorder_slowdown_x
 # Tier-counter audit: the named configs plus the per-app pruned replays.
 require tier_counters
-for config in hooked obs_on flight_recorder \
+for config in demoted hooked obs_on flight_recorder \
               taint_pruned_apache1 taint_pruned_apache2 \
               taint_pruned_cvs taint_pruned_squid; do
   require "$config"

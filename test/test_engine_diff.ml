@@ -181,6 +181,48 @@ let with_foreign_hooks attach () =
   check_int "engine hook detached" hooks0 (Vm.Cpu.global_hook_count cpu);
   expect_agree (compare_all fresh)
 
+(* With no compiled table attached there are no single closures to
+   dispatch: the engine takes the same hooked-interpreter fallback, and
+   every client still equals its oracle. *)
+let without_table () =
+  let base = recipe_fresh Recipe.smash in
+  let fresh () =
+    let proc = base () in
+    Vm.Cpu.clear_blocks proc.Osim.Process.cpu;
+    proc
+  in
+  let proc = fresh () in
+  let cpu = proc.Osim.Process.cpu in
+  let slow0 = cpu.Vm.Cpu.slow_retired and i0 = cpu.Vm.Cpu.icount in
+  let hooks0 = Vm.Cpu.global_hook_count cpu in
+  ignore (Sweeper.Taint.run proc : Sweeper.Taint.result);
+  check_bool "replayed something" true (cpu.Vm.Cpu.icount > i0);
+  check_int "every instruction on the reference path"
+    (cpu.Vm.Cpu.icount - i0)
+    (cpu.Vm.Cpu.slow_retired - slow0);
+  check_int "engine hook detached" hooks0 (Vm.Cpu.global_hook_count cpu);
+  expect_agree (compare_all fresh)
+
+(* With the table attached and nobody else listening, the fused replay
+   retires on the CPU's single-instruction closures: [fast_retired]
+   grows, and block + fast + slow still equals executed. *)
+let fused_retirement () =
+  List.iter
+    (fun (name, run) ->
+      let proc = (recipe_fresh Recipe.smash) () in
+      let cpu = proc.Osim.Process.cpu in
+      let f0 = cpu.Vm.Cpu.fast_retired in
+      let (), ok = audited proc run in
+      check_bool (name ^ ": retired on single closures") true
+        (cpu.Vm.Cpu.fast_retired > f0);
+      check_bool (name ^ ": block + fast + slow == executed") true ok)
+    [
+      ("taint", fun p -> ignore (Sweeper.Taint.run p : Sweeper.Taint.result));
+      ( "membug",
+        fun p -> ignore (Sweeper.Membug.run p : Sweeper.Membug.report) );
+      ("slicing", fun p -> ignore (Sweeper.Slice.run p : Sweeper.Slice.result));
+    ]
+
 let vsef_pc_hook (proc : Osim.Process.t) fired =
   let cpu = proc.Osim.Process.cpu in
   (* A pre-hook where the replay starts (the blocked receive, which
@@ -248,6 +290,8 @@ let () =
           Alcotest.test_case "fuel runs out mid-replay" `Quick fuel_cut;
           Alcotest.test_case "clean end slices from the last instruction"
             `Quick clean_end;
+          Alcotest.test_case "fused replay retires on single closures" `Quick
+            fused_retirement;
         ] );
       ( "fallback",
         [
@@ -255,6 +299,8 @@ let () =
             (with_foreign_hooks vsef_pc_hook);
           Alcotest.test_case "flight recorder forces the hooked path" `Quick
             (with_foreign_hooks flight_recorder);
+          Alcotest.test_case "no compiled table takes the hooked path" `Quick
+            without_table;
         ] );
       ( "apps",
         List.map

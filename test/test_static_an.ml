@@ -492,6 +492,80 @@ let test_elision_tripwire () =
     cpu.Vm.Cpu.icount;
   check_int "no trips without elision" 0 cpu2.Vm.Cpu.elision_trips
 
+(* After the tripwire fires, the demoted block must run on the fully
+   guarded single-instruction closures, which never trust a proof: here
+   the wrong-range store sits in a function called three times, so the
+   first call trips and demotes its block, and the two later calls
+   retire the whole body one instruction at a time, each store
+   re-checked against the real memory map rather than the bad range.
+   Singles that trusted the proof would trip again on every later call
+   and push the store onto the reference path. *)
+let looped_elision_app () =
+  let items =
+    [
+      Vm.Asm.Label "main";
+      Vm.Asm.Ins (Mov (R3, Imm 3));
+      Vm.Asm.Label "again";
+      Vm.Asm.Ins (Call (Lbl "body"));
+      Vm.Asm.Ins (Bin (Sub, R3, Imm 1));
+      Vm.Asm.Ins (Cmp (R3, Imm 0));
+      Vm.Asm.Ins (Jcc (Gt, Lbl "again"));
+      Vm.Asm.Ins Ret;
+      Vm.Asm.Label "body";
+      Vm.Asm.Ins (Bin (Sub, SP, Imm 16));
+      Vm.Asm.Ins (Mov (R1, Imm 0xAB));
+      Vm.Asm.Label "thestore";
+      Vm.Asm.Ins (Store (SP, 0, R1));
+      Vm.Asm.Ins (Load (R2, SP, 0));
+      Vm.Asm.Ins (Bin (Add, SP, Imm 16));
+      Vm.Asm.Ins Ret;
+    ]
+  in
+  {
+    Minic.Codegen.unit_ = Vm.Asm.make_unit "elision_loop" items;
+    data = [];
+    funcs = [ "main"; "body" ];
+  }
+
+let test_guarded_singles_after_trip () =
+  let app = looped_elision_app () in
+  let run_one ~wrong =
+    let proc = Osim.Process.load ~aslr:false ~seed:5 app in
+    let cpu = proc.Osim.Process.cpu in
+    let ai = proc.Osim.Process.absint in
+    let store_pc = Vm.Asm.symbol proc.Osim.Process.app_image "thestore" in
+    check_bool "the store is proven safe" true (Ab.proven_safe ai store_pc);
+    let safe_of pc =
+      if not wrong then None
+      else if pc = store_pc then Some (0x10, 0x20)
+      else Ab.safe_range ai pc
+    in
+    Vm.Block_compile.install ~safe_of cpu
+      (Cfg.block_bounds (Cfg.build cpu.Vm.Cpu.code));
+    ignore (Osim.Process.run proc);
+    let sp = Vm.Cpu.get_reg cpu Vm.Isa.SP in
+    ( cpu,
+      ( Array.to_list cpu.Vm.Cpu.regs,
+        cpu.Vm.Cpu.pc,
+        cpu.Vm.Cpu.halted,
+        cpu.Vm.Cpu.icount,
+        Vm.Memory.load_bytes cpu.Vm.Cpu.mem (sp - 64) 64 ) )
+  in
+  let cpu, state = run_one ~wrong:true in
+  let clean, clean_state = run_one ~wrong:false in
+  check_int "exactly one trip: later calls re-check, never trust the range" 1
+    cpu.Vm.Cpu.elision_trips;
+  check_int "store committed every call" 0xAB (Vm.Cpu.get_reg cpu Vm.Isa.R2);
+  (* First call: the two instructions before the store ran fused, the
+     rest (4) on singles; the two later calls ran all 6 on singles. *)
+  check_int "demoted body retired on single closures"
+    (clean.Vm.Cpu.fast_retired + 4 + (2 * 6))
+    cpu.Vm.Cpu.fast_retired;
+  check_int "no store took the reference path" clean.Vm.Cpu.slow_retired
+    cpu.Vm.Cpu.slow_retired;
+  check_bool "state byte-identical to the unelided run" true
+    (state = clean_state)
+
 (* ------------------------------------------------------------------ *)
 (* The return tripwire                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -824,6 +898,8 @@ let () =
           qt elision_differential_qcheck;
           Alcotest.test_case "elision tripwire demotes the block" `Quick
             test_elision_tripwire;
+          Alcotest.test_case "guarded singles after a trip" `Quick
+            test_guarded_singles_after_trip;
         ] );
       ( "soundness",
         [

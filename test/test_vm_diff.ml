@@ -1,9 +1,12 @@
-(* Differential tests for the tiered interpreter: the uninstrumented fast
-   path, the instrumented effect-record path, and the compiled
-   block-superinstruction tier must be observably indistinguishable. Each
-   case builds identical machines, forces one onto the slow path with a
-   no-op global pre-hook and compiles another's basic blocks, runs all of
-   them, and compares every piece of architectural state — outcome,
+(* Differential tests for the two execution tiers: the reference
+   effect-record path ([Cpu.step]) and the compiled code of
+   [Block_compile], run both as fused blocks and one instruction at a
+   time, must be observably indistinguishable. Each case builds identical
+   machines — a reference machine with no compiled table (every
+   instruction on [step]), a block machine with the table attached, and a
+   per-instruction machine with the table attached but every block
+   invalidated, so it runs on the single-instruction closures — runs all
+   of them, and compares every piece of architectural state — outcome,
    registers, pc, flags, halt, icount, and memory (including
    page-boundary windows). *)
 
@@ -33,7 +36,8 @@ let outcome_t : Vm.Cpu.outcome Alcotest.testable =
         | Vm.Cpu.Faulted f -> "Faulted: " ^ Vm.Event.fault_to_string f))
     ( = )
 
-(* A machine over [instrs] loaded at the app code base, with registers
+(* A machine over [instrs] loaded at the app code base, with no compiled
+   table: the reference tier runs every instruction. Registers
    R1-R4 pre-pointed at interesting data addresses so random loads and
    stores mostly land in mapped memory, and a recognizable pattern seeded
    around the first data-page boundary. *)
@@ -77,11 +81,22 @@ let observe (cpu : Vm.Cpu.t) (l : Vm.Layout.t) outcome =
     Vm.Memory.load_bytes cpu.Vm.Cpu.mem (l.Vm.Layout.stack_top - 64) 64 )
 
 (* A machine with its basic blocks compiled into superinstructions — the
-   tier-3 configuration Process.load sets up for real app images. *)
+   configuration Process.load sets up for real app images. *)
 let make_block_cpu instrs =
   let cpu, l = make_cpu instrs in
   Vm.Block_compile.install cpu
     (Static_an.Cfg.block_bounds (Static_an.Cfg.build cpu.Vm.Cpu.code));
+  (cpu, l)
+
+(* A block machine with every block invalidated: each unhooked
+   instruction retires on its compiled single-instruction closure. *)
+let make_pi_cpu instrs =
+  let cpu, l = make_block_cpu instrs in
+  let base = l.Vm.Layout.app_code_base in
+  List.iteri
+    (fun i _ ->
+      Vm.Cpu.invalidate_block cpu ~pc:(base + (i * Vm.Isa.instr_size)))
+    instrs;
   (cpu, l)
 
 (* The tier counters must partition the executed stream exactly; none of
@@ -90,28 +105,35 @@ let tiers_conserved (cpu : Vm.Cpu.t) =
   cpu.Vm.Cpu.block_retired + cpu.Vm.Cpu.fast_retired + cpu.Vm.Cpu.slow_retired
   = cpu.Vm.Cpu.icount
 
-(* Run the same program on all three tiers, returning the observations
-   (fast, slow, block) plus whether the block machine's tier counters
-   partitioned its executed stream. *)
+(* Instructions the per-instruction machines of [run_three] retired on
+   single closures, summed over every run: the differential property
+   must really exercise them, not a second reference run. *)
+let pi_fast_total = ref 0
+
+(* Run the same program on the three machines, returning the
+   observations (per-instruction, reference, block) plus whether both
+   compiled machines' tier counters partitioned their executed stream
+   (and the per-instruction one never entered a block). *)
 let run_three ?(fuel = 300) instrs =
-  let fast, l_fast = make_cpu instrs in
-  let slow, l_slow = make_cpu instrs in
+  let pi, l_pi = make_pi_cpu instrs in
+  let rf, l_rf = make_cpu instrs in
   let block, l_block = make_block_cpu instrs in
-  ignore (Vm.Cpu.add_pre_hook slow (fun _ -> ()));
-  let of_ = Vm.Cpu.run ~fuel fast in
-  let os = Vm.Cpu.run ~fuel slow in
+  let op = Vm.Cpu.run ~fuel pi in
+  let orf = Vm.Cpu.run ~fuel rf in
   let ob = Vm.Cpu.run ~fuel block in
-  ( observe fast l_fast of_,
-    observe slow l_slow os,
+  pi_fast_total := !pi_fast_total + pi.Vm.Cpu.fast_retired;
+  ( observe pi l_pi op,
+    observe rf l_rf orf,
     observe block l_block ob,
-    tiers_conserved block )
+    tiers_conserved block && tiers_conserved pi && pi.Vm.Cpu.block_retired = 0
+  )
 
 let run_both ?fuel instrs =
-  let f, s, _, _ = run_three ?fuel instrs in
-  (f, s)
+  let p, r, _, _ = run_three ?fuel instrs in
+  (p, r)
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: random programs agree between the two paths                 *)
+(* qcheck: random programs agree between the tiers                     *)
 (* ------------------------------------------------------------------ *)
 
 let gen_program : Vm.Isa.instr list QCheck.Gen.t =
@@ -170,11 +192,11 @@ let program_arb =
 
 let diff_qcheck =
   QCheck.Test.make
-    ~name:"block == fast == instrumented path (random programs)" ~count:120
-    program_arb
+    ~name:"block == per-instruction == reference (random programs)"
+    ~count:120 program_arb
     (fun instrs ->
-      let fast, slow, block, conserved = run_three instrs in
-      fast = slow && block = fast && conserved)
+      let pi, rf, block, conserved = run_three instrs in
+      pi = rf && block = rf && conserved)
 
 (* Scheduler-quantum discipline on the block tier: running in fuel quanta
    must land each stop on the exact icount — a block is entered only when
@@ -204,11 +226,11 @@ let quanta_qcheck =
         | o -> o
       in
       let o = go () in
-      let fast, l_fast = make_cpu instrs in
-      let of_ = Vm.Cpu.run ~fuel:(quantum * !steps) fast in
+      let rf, l_rf = make_cpu instrs in
+      let orf = Vm.Cpu.run ~fuel:(quantum * !steps) rf in
       !exact
       && tiers_conserved cpu
-      && observe cpu l o = observe fast l_fast of_)
+      && observe cpu l o = observe rf l_rf orf)
 
 (* ------------------------------------------------------------------ *)
 (* Directed equivalences                                               *)
@@ -248,11 +270,11 @@ let test_page_crossing_copy () =
   check_str "data window" d2 d1;
   check_str "boundary window" b2 b1;
   (* And the copy really happened across the boundary. *)
-  let fast, l = make_cpu instrs in
-  ignore (Vm.Cpu.run ~fuel:1000 fast);
+  let cpu, l = make_pi_cpu instrs in
+  ignore (Vm.Cpu.run ~fuel:1000 cpu);
   check_str "copied across page boundary"
     (String.init 24 (fun i -> Char.chr (0x41 + (i mod 26))))
-    (Vm.Memory.load_bytes fast.Vm.Cpu.mem
+    (Vm.Memory.load_bytes cpu.Vm.Cpu.mem
        (l.Vm.Layout.data_base + Vm.Memory.page_size - 12)
        24)
 
@@ -310,28 +332,36 @@ let counting_loop () =
     Halt;
   ]
 
+(* Runs on the per-instruction machine, so every transition crosses
+   between the compiled single closures and the reference [step]. *)
 let test_attach_detach_mid_run () =
   let base = 0x08048000 in
-  let cpu, _ = make_cpu (counting_loop ()) in
-  (* Warm up on the pure fast path: Mov + 3 iterations, pc back at Add. *)
+  let cpu, _ = make_pi_cpu (counting_loop ()) in
+  (* Warm up on compiled code: Mov + 3 iterations, pc back at Add. *)
   Alcotest.check outcome_t "warmup runs out of fuel" Vm.Cpu.Out_of_fuel
     (Vm.Cpu.run ~fuel:10 cpu);
   check_int "warmup executed" 10 cpu.Vm.Cpu.icount;
+  check_int "warmup retired on single closures" 10 cpu.Vm.Cpu.fast_retired;
   check_int "pc mid-loop" (base + 4) cpu.Vm.Cpu.pc;
   (* Attach a pc-hook ahead of the current pc, mid-run: every subsequent
-     pass over the Cmp must hit it — the fast path may not skip one. *)
+     pass over the Cmp must hit it — compiled code may not skip one. *)
   let fired = ref 0 in
   let h = Vm.Cpu.add_pc_hook cpu ~pc:(base + 8) (fun _ -> incr fired) in
   check_int "hook counted" 1 (Vm.Cpu.pc_hook_count cpu);
   Alcotest.check outcome_t "more fuel" Vm.Cpu.Out_of_fuel
     (Vm.Cpu.run ~fuel:30 cpu);
   check_int "10 full iterations hit the hooked Cmp 10 times" 10 !fired;
-  (* Detach: the pc must transition back to the fast path and go silent. *)
+  check_int "only the hooked pc took the reference path" 10
+    cpu.Vm.Cpu.slow_retired;
+  (* Detach: the pc must transition back to compiled code and go silent. *)
   Vm.Cpu.remove_hook cpu h;
   check_int "hook gone" 0 (Vm.Cpu.pc_hook_count cpu);
+  let fast_before = cpu.Vm.Cpu.fast_retired in
   Alcotest.check outcome_t "more fuel" Vm.Cpu.Out_of_fuel
     (Vm.Cpu.run ~fuel:30 cpu);
   check_int "detached hook is silent" 10 !fired;
+  check_int "detached pc is back on compiled code" (fast_before + 30)
+    cpu.Vm.Cpu.fast_retired;
   (* A global hook attached mid-run sees every instruction... *)
   let seen = ref 0 in
   let g = Vm.Cpu.add_pre_hook cpu (fun _ -> incr seen) in
@@ -342,8 +372,9 @@ let test_attach_detach_mid_run () =
   Vm.Cpu.remove_hook cpu g;
   Alcotest.check outcome_t "finishes" Vm.Cpu.Halted (Vm.Cpu.run cpu);
   check_int "loop reached its bound" 1000 (Vm.Cpu.get_reg cpu Vm.Isa.R0);
+  check_bool "tiers conserved" true (tiers_conserved cpu);
   (* The whole mixed-mode run executed exactly as many instructions as an
-     all-fast or all-slow run would have. *)
+     all-reference run would have. *)
   let ref_cpu, _ = make_cpu (counting_loop ()) in
   Alcotest.check outcome_t "reference halts" Vm.Cpu.Halted (Vm.Cpu.run ref_cpu);
   check_int "icount matches an uninterrupted run" ref_cpu.Vm.Cpu.icount
@@ -351,9 +382,10 @@ let test_attach_detach_mid_run () =
 
 let test_post_hook_masks_fast_path () =
   (* A pc-level *post* hook must also force the instrumented path (it
-     needs the effect record); check it observes the right effect. *)
+     needs the effect record) on a machine whose other pcs run compiled
+     code; check it observes the right effect. *)
   let base = 0x08048000 in
-  let cpu, _ = make_cpu (counting_loop ()) in
+  let cpu, _ = make_pi_cpu (counting_loop ()) in
   let writes = ref 0 in
   let h =
     Vm.Cpu.add_pc_post_hook cpu ~pc:(base + 4) (fun eff ->
@@ -361,6 +393,10 @@ let test_post_hook_masks_fast_path () =
   in
   Alcotest.check outcome_t "halts" Vm.Cpu.Halted (Vm.Cpu.run cpu);
   check_int "post hook saw every Add commit" 1000 !writes;
+  check_int "only the hooked Add took the reference path" 1000
+    cpu.Vm.Cpu.slow_retired;
+  check_bool "the rest retired on single closures" true
+    (cpu.Vm.Cpu.fast_retired > 0 && tiers_conserved cpu);
   Vm.Cpu.remove_hook cpu h;
   check_int "footprint clear" 0 (Vm.Cpu.pc_hook_count cpu)
 
@@ -416,7 +452,7 @@ let test_block_invalidation () =
   let retired_before = cpu.Vm.Cpu.block_retired in
   Vm.Cpu.invalidate_block cpu ~pc:(base + 8);
   Alcotest.check outcome_t "finishes" Vm.Cpu.Halted (Vm.Cpu.run cpu);
-  (* Only the one-instruction [Halt] block retires in tier 3 after the
+  (* Only the one-instruction [Halt] block retires as a block after the
      loop block is demoted — the invalidated block never runs fused
      again. *)
   check_int "invalidated block never retires again" (retired_before + 1)
@@ -446,7 +482,7 @@ let mid_block_fault_program () =
 
 let test_mid_block_fault_and_restore () =
   let instrs = mid_block_fault_program () in
-  let fast, l_fast, block, l_block =
+  let rf, l_rf, block, l_block =
     let f, lf = make_cpu instrs in
     let b, lb = make_block_cpu instrs in
     (f, lf, b, lb)
@@ -455,14 +491,14 @@ let test_mid_block_fault_and_restore () =
      same pair Osim.Checkpoint captures). *)
   let regs_ck = Vm.Cpu.snapshot_regs block in
   let mem_ck = Vm.Memory.snapshot block.Vm.Cpu.mem in
-  let o_fast = Vm.Cpu.run fast in
+  let o_rf = Vm.Cpu.run rf in
   let o_block = Vm.Cpu.run block in
   Alcotest.check outcome_t "same fault"
     (Vm.Cpu.Faulted (Vm.Event.Segv_write 0x40))
     o_block;
-  Alcotest.check outcome_t "fast faults identically" o_fast o_block;
+  Alcotest.check outcome_t "reference faults identically" o_rf o_block;
   check_bool "state byte-identical at the faulting pc" true
-    (observe fast l_fast o_fast = observe block l_block o_block);
+    (observe rf l_rf o_rf = observe block l_block o_block);
   check_bool "tiers conserved across the fault" true (tiers_conserved block);
   (* Restore the checkpoint and re-run: the replay must reproduce the
      fault exactly, block table still installed. *)
@@ -471,13 +507,36 @@ let test_mid_block_fault_and_restore () =
   let o_replay = Vm.Cpu.run block in
   Alcotest.check outcome_t "replay reproduces the fault" o_block o_replay;
   check_bool "replayed state identical" true
-    (observe fast l_fast o_fast = observe block l_block o_replay)
+    (observe rf l_rf o_rf = observe block l_block o_replay)
+
+(* A declining block leaves the entry pc for the dispatcher to advance,
+   which is exact only while no earlier instruction wrote the pc: a block
+   with a control transfer before its last instruction is refused. *)
+let test_terminator_inside_block () =
+  let cpu, l = make_cpu (counting_loop ()) in
+  Alcotest.check_raises "Jcc inside the block"
+    (Invalid_argument "Block_compile.compile: terminator inside a block")
+    (fun () ->
+      ignore
+        (Vm.Block_compile.table cpu.Vm.Cpu.code
+           [| (l.Vm.Layout.app_code_base, 5) |]
+          : Vm.Cpu.block_code))
 
 let () =
   let qt = QCheck_alcotest.to_alcotest ~rand:(qcheck_rand ()) in
   Alcotest.run "vm-diff"
     [
-      ("differential", [ qt diff_qcheck; qt quanta_qcheck ]);
+      ( "differential",
+        [
+          (let name, speed, run = qt diff_qcheck in
+           ( name,
+             speed,
+             fun () ->
+               run ();
+               check_bool "per-instruction machines retired on single closures"
+                 true (!pi_fast_total > 0) ));
+          qt quanta_qcheck;
+        ] );
       ( "directed",
         [
           Alcotest.test_case "page-crossing copy" `Quick test_page_crossing_copy;
@@ -499,5 +558,7 @@ let () =
             test_block_invalidation;
           Alcotest.test_case "mid-block fault + checkpoint restore" `Quick
             test_mid_block_fault_and_restore;
+          Alcotest.test_case "terminator inside a block is refused" `Quick
+            test_terminator_inside_block;
         ] );
     ]
