@@ -100,8 +100,7 @@ let table3 () =
   Printf.printf
     "(wall-clock of this harness; shape: core-dump << membug ~ taint < \
      slicing, first-VSEF << total. The paper has slicing far ahead; one \
-     replay engine for all three analyses narrows it to ~2x taint, and on \
-     cvs the stream isolation in the taint column outweighs slicing)\n"
+     replay engine for all three analyses narrows it to ~2x taint)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: normal-execution overhead vs checkpoint interval          *)

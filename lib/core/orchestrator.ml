@@ -128,6 +128,32 @@ let taint_stage =
   }
 
 (* --- Stage 4: input isolation (suspects one at a time) ------------------ *)
+
+(** The stream phase of input isolation, for a crash no single suspect
+    reproduces (stateful exploits). [crashes c] replays the window with
+    only the messages in [c] armed. Replays the last k suspects for
+    k = 2, 4, 8, … up to all of them, stops at the first suffix that
+    crashes, then drops that suffix's members one at a time, in suspect
+    order, keeping each drop that still crashes. *)
+let minimize_stream ~crashes suspects =
+  let n = List.length suspects in
+  let rec search k =
+    let s = List.filteri (fun i _ -> i >= n - k) suspects in
+    if crashes (Int_set.of_list s) then Some s
+    else if k >= n then None
+    else search (min n (2 * k))
+  in
+  Option.map
+    (fun s ->
+      let keep = ref (Int_set.of_list s) in
+      List.iter
+        (fun m ->
+          let candidate = Int_set.remove m !keep in
+          if crashes candidate then keep := candidate)
+        s;
+      Int_set.elements !keep)
+    (search (min n 2))
+
 let isolation_stage =
   {
     Stage.name = "Input Isolation";
@@ -138,35 +164,44 @@ let isolation_stage =
           | Some t -> Taint.verdict_msgs t.Taint.t_verdict
           | None -> []
         in
+        let suspects = cx.Stage.cx_suspects in
+        let all = Int_set.of_list suspects in
+        let replays = ref 0 and armed = ref 0 in
+        let crashes c =
+          incr replays;
+          armed := !armed + Int_set.cardinal c;
+          Stage.Replay.crashes ~skip:(Int_set.diff all c) cx
+        in
         let result =
           match taint_msgs with
           | _ :: _ -> (taint_msgs, false)  (* taint already isolated the input *)
-          | [] ->
-            let suspects = cx.Stage.cx_suspects in
-            let all = Int_set.of_list suspects in
+          | [] -> (
             let alone =
-              List.filter
-                (fun m -> Stage.Replay.crashes ~skip:(Int_set.remove m all) cx)
-                suspects
+              List.filter (fun m -> crashes (Int_set.singleton m)) suspects
             in
             if alone <> [] then (alone, false)
-            else if not (Stage.Replay.crashes cx) then ([], false)
-            else begin
-              (* Only a stream reproduces it (stateful exploit). Minimize
-                 it greedily: drop each message whose absence keeps the
-                 crash. *)
-              let keep = ref all in
-              List.iter
-                (fun m ->
-                  let candidate = Int_set.remove m !keep in
-                  if Stage.Replay.crashes ~skip:(Int_set.diff all candidate) cx
-                  then keep := candidate)
-                suspects;
-              (Int_set.elements !keep, true)
-            end
+            else
+              match minimize_stream ~crashes suspects with
+              | Some keep -> (keep, true)
+              | None -> ([], false))
         in
+        Obs.Metrics.add
+          (Obs.Metrics.counter ~help:"input isolation replays"
+             "sweeper_isolation_replays_total")
+          !replays;
+        Obs.Metrics.add
+          (Obs.Metrics.counter
+             ~help:"messages armed by input isolation replays"
+             "sweeper_isolation_replayed_msgs_total")
+          !armed;
         Stage.mark
-          { cx with Stage.cx_isolation = Some result }
+          {
+            cx with
+            Stage.cx_isolation = Some result;
+            cx_span_args =
+              [ ("replays", string_of_int !replays);
+                ("replayed_msgs", string_of_int !armed) ];
+          }
           mark_initial_analysis);
     instructions = (fun _ -> 0);
   }
@@ -367,9 +402,9 @@ let protected_handle ~app (server : Osim.Server.t) payload =
   | `Stopped -> `Stopped
   | `Crashed (_, fault) -> `Attack (handle_attack ~app server fault)
   | `Infected (_, _cmd) ->
-    (* A compromise slipped past the monitors (correct ASLR guess). On a
-       full-Sweeper host we still roll back and analyze: the infection left
-       a fault-free trail, but the compromise event is the trigger. *)
+    (* A compromise slipped past the monitors (correct ASLR guess). No
+       fault tripped, so nothing is analyzed or rolled back: the handler
+       only reports it, and the server stays compromised. *)
     `Compromised
   | exception Detection.Detected d ->
     (* A VSEF vetoed the instruction: drop the in-flight message, roll back

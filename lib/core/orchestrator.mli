@@ -54,6 +54,17 @@ val taint_stage : Stage.t
 val isolation_stage : Stage.t
 val slicing_stage : Stage.t
 
+val minimize_stream :
+  crashes:(Int_set.t -> bool) -> int list -> int list option
+(** The stream phase of input isolation, for a crash no single suspect
+    reproduces. [crashes c] replays the window with only the messages in
+    [c] armed. Finds the smallest power-of-two suffix of the suspects
+    (capped at all of them) that crashes, then greedily drops its members
+    one at a time in suspect order. [None] when not even the full window
+    crashes. When the messages the crash depends on are the last L, the
+    replays arm at most 4L + s² messages for a suffix of s; at worst, the
+    whole-window greedy's cost plus 2N. *)
+
 val default_stages : Stage.t list
 (** The Figure 3 pipeline, in order. *)
 

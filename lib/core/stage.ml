@@ -48,6 +48,9 @@ type ctx = {
   cx_timings : timing list;    (** newest first; see {!timings} *)
   cx_marks : (string * float) list;
       (** named elapsed-ms milestones ("first-vsef", …) *)
+  cx_span_args : (string * string) list;
+      (** args the running stage adds to its own span; {!run} attaches
+          them and clears the list *)
   cx_t_start : float;
 }
 
@@ -158,6 +161,7 @@ let init ~app (server : Osim.Server.t) (fault : Vm.Event.fault) =
     cx_vsefs = [];
     cx_timings = [];
     cx_marks = [];
+    cx_span_args = [];
     cx_t_start = Unix.gettimeofday ();
   }
 
@@ -169,7 +173,8 @@ let run stage cx =
   let server = cx.cx_server in
   let cx', ms =
     Obs.Trace.timed ~cat:"stage" ~pid:server.Osim.Server.id
-      ~vts_ms:(Osim.Server.vtime_ms server) stage.name (fun () ->
+      ~vts_ms:(Osim.Server.vtime_ms server)
+      ~end_args:(fun cx' -> cx'.cx_span_args) stage.name (fun () ->
         stage.run cx)
   in
   let instrs = stage.instructions cx' in
@@ -184,6 +189,7 @@ let run stage cx =
        "sweeper_stage_runs_total");
   {
     cx' with
+    cx_span_args = [];
     cx_timings =
       { st_name = stage.name; st_wall_ms = ms; st_instructions = instrs }
       :: cx'.cx_timings;

@@ -41,6 +41,9 @@ type ctx = {
   cx_timings : timing list;   (** newest first; see {!timings} *)
   cx_marks : (string * float) list;
       (** named elapsed-ms milestones ("first-vsef", …) *)
+  cx_span_args : (string * string) list;
+      (** args the running stage adds to its own span; {!run} attaches
+          them and clears the list *)
   cx_t_start : float;
 }
 

@@ -127,7 +127,7 @@ let with_span ?cat ?pid ?tid ?vts_ms ?args name f =
 (* Wall-time a thunk in milliseconds, recording a span only when tracing is
    enabled. The measurement is taken unconditionally so callers (Stage.run)
    can use this as their single timing source. *)
-let timed ?cat ?pid ?tid ?vts_ms ?args name f =
+let timed ?cat ?pid ?tid ?vts_ms ?args ?(end_args = fun _ -> []) name f =
   if not !enabled_flag then begin
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -138,7 +138,7 @@ let timed ?cat ?pid ?tid ?vts_ms ?args name f =
     match f () with
     | r ->
       let dt_ms = (now_us () -. sp.sp_t0_us) /. 1000. in
-      end_span sp;
+      end_span ~args:(end_args r) sp;
       (r, dt_ms)
     | exception e ->
       end_span sp;

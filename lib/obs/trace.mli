@@ -67,10 +67,12 @@ val with_span :
 
 val timed :
   ?cat:string -> ?pid:int -> ?tid:int -> ?vts_ms:float ->
-  ?args:(string * string) list -> string -> (unit -> 'a) -> 'a * float
+  ?args:(string * string) list -> ?end_args:('a -> (string * string) list) ->
+  string -> (unit -> 'a) -> 'a * float
 (** [timed name f] runs [f] and returns its result with the elapsed wall
     time in milliseconds. The measurement happens whether or not tracing is
-    enabled; a span is recorded only when it is. *)
+    enabled; a span is recorded only when it is, with [end_args] of the
+    result appended to its args. *)
 
 val events : unit -> event list
 (** In emission (completion) order. *)
