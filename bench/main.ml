@@ -352,14 +352,29 @@ let hitlist_response () =
 (* Mechanical community defense (the micro-scale twin of Figs 6-8)     *)
 (* ------------------------------------------------------------------ *)
 
+module Sh = Sweeper.Defense.Sharded
+
+(* A merged community gauge, or a counter's value summed over its label
+   sets; 0 when absent. *)
+let merged_value c name =
+  List.fold_left
+    (fun acc (m : Obs.Metrics.sample) ->
+      if m.Obs.Metrics.s_name <> name then acc
+      else
+        match m.Obs.Metrics.s_value with
+        | Obs.Metrics.Sample_counter k -> acc +. float_of_int k
+        | Obs.Metrics.Sample_gauge v -> acc +. v
+        | Obs.Metrics.Sample_histogram _ -> acc)
+    0. (Sh.merged_metrics c)
+
 let community () =
   section_header
     "Mechanical community defense: real hosts, real exploit bytes";
   let run ~n ~producers =
     let entry = Apps.Registry.find "apache1" in
     let c =
-      Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n
-        ~producers ~seed:5000 ()
+      Sh.create ~app:"apache1" ~compile:entry.r_compile ~n ~producers
+        ~seed:5000 ()
     in
     let rng = Random.State.make [| n; producers |] in
     let exploit_for (_ : Sweeper.Defense.host) =
@@ -369,17 +384,20 @@ let community () =
         .Apps.Exploits.x_messages
     in
     for _ = 1 to 3 do
-      Sweeper.Defense.worm_round c ~exploit_for
+      Sh.post_traffic c ~traffic:exploit_for;
+      ignore (Sh.run_round c)
     done;
-    let s = c.Sweeper.Defense.stats in
+    let s = Sh.summary c in
     Printf.printf
       "%3d hosts, %d producers: %5.1f%% infected | %d detections, %d blocked, \
        first antibody %s\n"
       n producers
-      (100. *. Sweeper.Defense.infection_ratio c)
-      s.Sweeper.Defense.s_crashes s.Sweeper.Defense.s_blocked
-      (match s.Sweeper.Defense.s_first_antibody_ms with
-      | Some ms -> Printf.sprintf "%.1f ms" ms
+      (100. *. float_of_int s.Sh.sm_infected_hosts /. float_of_int n)
+      s.Sh.sm_crashes s.Sh.sm_blocked
+      (match s.Sh.sm_first_antibody_vtime_ms with
+      | Some vms ->
+        Printf.sprintf "at %.2f virtual ms (analysis %.1f wall ms)" vms
+          (merged_value c "sweeper_community_first_antibody_ms")
       | None -> "never")
   in
   if !smoke then begin
@@ -419,7 +437,8 @@ type pipeline_row = {
   p_crashes : int;
   p_blocked : int;
   p_infections : int;
-  p_first_antibody_ms : float option;
+  p_first_antibody_ms : float option;  (** wall ms of the analysis *)
+  p_first_antibody_vms : float option;  (** virtual ms of the publication *)
   p_spans : int;  (** trace events emitted; 0 on the obs-off run *)
 }
 
@@ -427,7 +446,7 @@ let pipeline_run ?(obs = false) ~n ~benign () =
   let entry = Apps.Registry.find "apache1" in
   let t0 = Unix.gettimeofday () in
   let c =
-    Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n
+    Sh.create ~shards:1 ~app:"apache1" ~compile:entry.r_compile ~n
       ~producers:1 ~seed:(9000 + n) ()
   in
   let create_s = Unix.gettimeofday () -. t0 in
@@ -455,26 +474,29 @@ let pipeline_run ?(obs = false) ~n ~benign () =
     Obs.Trace.clear ()
   end;
   let t1 = Unix.gettimeofday () in
-  let sched = Sweeper.Defense.run_scheduled c ~traffic in
+  Sh.post_traffic c ~traffic;
+  ignore (Sh.run_round c);
   let run_s = Unix.gettimeofday () -. t1 in
   let spans = if obs then Obs.Trace.event_count () else 0 in
   if obs then begin
     Obs.Trace.disable ();
     Obs.Trace.clear ()
   end;
+  let s = Sh.summary c in
+  let analysis_ms = merged_value c "sweeper_community_first_antibody_ms" in
   {
     p_hosts = n;
     p_messages = !messages;
     p_create_s = create_s;
     p_run_s = run_s;
-    p_virtual_ms = Osim.Sched.vclock_ms sched;
-    p_instructions = Osim.Sched.instructions sched;
-    p_sched_steps = Osim.Sched.steps sched;
-    p_crashes = c.Sweeper.Defense.stats.Sweeper.Defense.s_crashes;
-    p_blocked = c.Sweeper.Defense.stats.Sweeper.Defense.s_blocked;
-    p_infections = c.Sweeper.Defense.stats.Sweeper.Defense.s_infections;
-    p_first_antibody_ms =
-      c.Sweeper.Defense.stats.Sweeper.Defense.s_first_antibody_ms;
+    p_virtual_ms = merged_value c "sweeper_sched_vclock_ms";
+    p_instructions = s.Sh.sm_instructions;
+    p_sched_steps = int_of_float (merged_value c "sweeper_sched_steps");
+    p_crashes = s.Sh.sm_crashes;
+    p_blocked = s.Sh.sm_blocked;
+    p_infections = s.Sh.sm_infections;
+    p_first_antibody_ms = (if analysis_ms < 0. then None else Some analysis_ms);
+    p_first_antibody_vms = s.Sh.sm_first_antibody_vtime_ms;
     p_spans = spans;
   }
 
@@ -483,8 +505,6 @@ let pipeline_run ?(obs = false) ~n ~benign () =
 (* domain-count sweep at a fixed shard partition, one outbreak at      *)
 (* 10^5-host scale, and the differential oracle.                       *)
 (* ------------------------------------------------------------------ *)
-
-module Sh = Sweeper.Defense.Sharded
 
 type sharded_row = {
   d_hosts : int;
@@ -600,9 +620,9 @@ let sharded_bench () =
   tune_gc_for_population ();
   let cores = Domain.recommended_domain_count () in
   Printf.printf "(%d core(s) available to this machine)\n" cores;
-  (* Single-domain host-count scaling: the satellite regression check --
-     hosts/sec must not fall from 100 to 1000 hosts now that turn
-     selection is O(log n). *)
+  (* Single-domain host-count scaling: turn selection is O(log n), so
+     hosts/sec should stay flat from 100 to 1000 hosts. The rows record
+     it; nothing gates it. *)
   let single =
     List.map
       (fun n ->
@@ -875,12 +895,13 @@ let write_pipeline_json rows (sd : sharded_data) (fd : forensics_data) =
   List.iteri
     (fun i (r, ro) ->
       Printf.fprintf oc
-        "    { \"hosts\": %d, \"messages\": %d, \"create_s\": %.3f, \
-         \"run_s\": %.3f, \"virtual_ms\": %.1f, \"instructions\": %d, \
-         \"sched_steps\": %d, \"hosts_per_s\": %.1f, \"instrs_per_s\": %.3e, \
-         \"crashes\": %d, \"blocked\": %d, \"infections\": %d, \
-         \"first_antibody_ms\": %s, \"obs_run_s\": %.3f, \"spans\": %d, \
-         \"spans_per_s\": %.1f }%s\n"
+        "    { \"hosts\": %d, \"shards\": 1, \"messages\": %d, \
+         \"create_s\": %.3f, \"run_s\": %.3f, \"virtual_ms\": %.2f, \
+         \"instructions\": %d, \"sched_steps\": %d, \"hosts_per_s\": %.1f, \
+         \"instrs_per_s\": %.3e, \"crashes\": %d, \"blocked\": %d, \
+         \"infections\": %d, \"first_antibody_ms\": %s, \
+         \"first_antibody_vtime_ms\": %s, \"obs_run_s\": %.3f, \
+         \"spans\": %d, \"spans_per_s\": %.1f }%s\n"
         r.p_hosts r.p_messages r.p_create_s r.p_run_s r.p_virtual_ms
         r.p_instructions r.p_sched_steps
         (float_of_int r.p_hosts /. r.p_run_s)
@@ -888,6 +909,9 @@ let write_pipeline_json rows (sd : sharded_data) (fd : forensics_data) =
         r.p_crashes r.p_blocked r.p_infections
         (match r.p_first_antibody_ms with
         | Some ms -> Printf.sprintf "%.2f" ms
+        | None -> "null")
+        (match r.p_first_antibody_vms with
+        | Some vms -> Printf.sprintf "%.2f" vms
         | None -> "null")
         ro.p_run_s ro.p_spans
         (float_of_int ro.p_spans /. ro.p_run_s)
@@ -946,19 +970,20 @@ let pipeline () =
     "Pipeline: cooperative scheduler scaling (interleaved community serving)";
   tune_gc_for_population ();
   let benign = sc 6 2 in
-  Printf.printf "%6s %9s %10s %10s %12s %14s %12s %10s\n" "hosts" "msgs"
-    "create(s)" "run(s)" "hosts/sec" "instrs/sec" "virtual(ms)" "antibody";
+  Printf.printf "%6s %9s %10s %10s %12s %14s %12s %14s\n" "hosts" "msgs"
+    "create(s)" "run(s)" "hosts/sec" "instrs/sec" "virtual(ms)"
+    "antibody(vms)";
   let rows =
     List.map
       (fun n ->
         let r = pipeline_run ~n ~benign () in
-        Printf.printf "%6d %9d %10.3f %10.3f %12.1f %14.3e %12.1f %10s\n"
+        Printf.printf "%6d %9d %10.3f %10.3f %12.1f %14.3e %12.2f %14s\n"
           r.p_hosts r.p_messages r.p_create_s r.p_run_s
           (float_of_int r.p_hosts /. r.p_run_s)
           (float_of_int r.p_instructions /. r.p_run_s)
           r.p_virtual_ms
-          (match r.p_first_antibody_ms with
-          | Some ms -> Printf.sprintf "%.1f ms" ms
+          (match r.p_first_antibody_vms with
+          | Some vms -> Printf.sprintf "%.2f" vms
           | None -> "never");
         (* The same population with tracing on: spans cover every served
            message, checkpoint, and the producer's analysis stages. *)
@@ -971,8 +996,9 @@ let pipeline () =
       pipeline_scales
   in
   Printf.printf
-    "(one producer per community; the attack stream is spliced mid-stream \
-     into host 0's inbox and analyzed while the other hosts keep serving)\n";
+    "(one shard, one producer per community; the attack stream is spliced \
+     mid-stream into host 0's inbox and analyzed while the other hosts keep \
+     serving)\n";
   let sd = sharded_bench () in
   let fd = forensics_bench () in
   if !json_output then write_pipeline_json rows sd fd

@@ -7,6 +7,8 @@
 
    Run with: dune exec examples/worm_outbreak.exe *)
 
+module Sh = Sweeper.Defense.Sharded
+
 let () =
   let n_hosts = 24 in
   let n_producers = 3 in
@@ -14,7 +16,7 @@ let () =
     n_hosts n_producers;
   let entry = Apps.Registry.find "apache1" in
   let community =
-    Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n:n_hosts
+    Sh.create ~app:"apache1" ~compile:entry.r_compile ~n:n_hosts
       ~producers:n_producers ~seed:1000 ()
   in
   (* The worm: knows the binary (fixed application addresses) but must guess
@@ -30,28 +32,37 @@ let () =
     exploit.Apps.Exploits.x_messages
   in
   for round = 1 to 4 do
-    Sweeper.Defense.worm_round community ~exploit_for;
-    let s = community.Sweeper.Defense.stats in
+    Sh.post_traffic community ~traffic:exploit_for;
+    ignore (Sh.run_round community);
+    let s = Sh.summary community in
     Printf.printf
       "round %d: %2d/%d infected | %3d attempts, %d detections, %d blocked by \
        antibodies%s\n"
-      round
-      (Sweeper.Defense.infected_count community)
-      n_hosts s.Sweeper.Defense.s_attempts s.Sweeper.Defense.s_crashes
-      s.Sweeper.Defense.s_blocked
-      (match (round, s.Sweeper.Defense.s_first_antibody_ms) with
-      | 1, Some ms -> Printf.sprintf " | first antibody in %.1f ms" ms
+      round s.Sh.sm_infected_hosts n_hosts s.Sh.sm_attempts s.Sh.sm_crashes
+      s.Sh.sm_blocked
+      (match (round, s.Sh.sm_first_antibody_vtime_ms) with
+      | 1, Some ms -> Printf.sprintf " | first antibody at %.2f virtual ms" ms
       | _ -> "")
   done;
+  let s = Sh.summary community in
+  let generations =
+    List.fold_left
+      (fun acc (m : Obs.Metrics.sample) ->
+        match m.Obs.Metrics.s_value with
+        | Obs.Metrics.Sample_counter k
+          when m.Obs.Metrics.s_name = "sweeper_antibodies_published_total" ->
+          acc + k
+        | _ -> acc)
+      0
+      (Sh.merged_metrics community)
+  in
+  let alive = Sh.all_alive community in
   Printf.printf "\nfinal infection ratio: %.0f%%; antibody %s\n"
-    (100. *. Sweeper.Defense.infection_ratio community)
-    (match community.Sweeper.Defense.antibody with
-    | Some (gen, ab) ->
-      Printf.sprintf "generation %d (%s) deployed community-wide" gen
-        (Sweeper.Antibody.stage_to_string ab.Sweeper.Antibody.ab_stage)
-    | None -> "never produced");
-  Printf.printf "all uninfected hosts still serving: %b\n"
-    (Sweeper.Defense.all_alive community);
+    (100. *. float_of_int s.Sh.sm_infected_hosts /. float_of_int n_hosts)
+    (if generations > 0 then
+       Printf.sprintf "generation %d deployed community-wide" generations
+     else "never produced");
+  Printf.printf "all uninfected hosts still serving: %b\n" alive;
   (* Contrast with the analytic model at community scale: the same α and a
      5-second γ contain even a β=4000 hit-list worm across 100k hosts. *)
   let alpha = float_of_int n_producers /. float_of_int n_hosts in
@@ -60,4 +71,8 @@ let () =
     "\n(analytic cross-check: alpha=%.3f, beta=4000, gamma=5s over 100k \
      hosts -> %.2f%% infected)\n"
     alpha
-    (100. *. Epidemic.Si.infection_ratio p ~gamma:5.)
+    (100. *. Epidemic.Si.infection_ratio p ~gamma:5.);
+  (* The walkthrough doubles as a check (it runs under `dune runtest`): an
+     infected host or a live host that stopped serving is a failed
+     defense. *)
+  if s.Sh.sm_infected_hosts > 0 || not alive then exit 1

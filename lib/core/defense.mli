@@ -8,11 +8,14 @@
     between the per-host machinery of {!Orchestrator} and the
     population-level claims of the epidemic model.
 
-    Community runs execute on the cooperative scheduler ({!Osim.Sched}):
-    hosts are tasks, traffic is posted to per-host inboxes, and service,
-    analysis, recovery, and antibody propagation interleave in simulated
-    time. The direct {!deliver} path shares the same reaction logic, so
-    serial and scheduled runs behave identically per host. *)
+    {!Sharded} is the one community driver: hosts are tasks on per-shard
+    cooperative schedulers ({!Osim.Sched}), traffic is posted to per-host
+    inboxes, and service, analysis, recovery, and antibody propagation
+    interleave in simulated time. One shard on one domain is the plain
+    community. Its reference is the serial delivery loop kept with the test
+    oracles ([Oracle.Community]): with one attacked host, a one-shard run
+    must end in the same per-host state as delivering every stream in
+    turn. *)
 
 type role = Producer | Consumer
 
@@ -24,15 +27,6 @@ type host = {
   mutable h_infected : bool;
   mutable h_deployed : int;  (** antibody generation installed *)
   mutable h_installed : Vsef.installed list;  (** currently-armed VSEFs *)
-}
-
-type stats = {
-  mutable s_attempts : int;
-  mutable s_infections : int;
-  mutable s_crashes : int;   (** detections via lightweight monitoring *)
-  mutable s_blocked : int;   (** stopped by antibodies *)
-  mutable s_analyses : int;  (** producer pipeline runs *)
-  mutable s_first_antibody_ms : float option;
 }
 
 (** One confirmed infection — the simulator's ground truth that forensic
@@ -59,106 +53,8 @@ type ab_origin = {
   ao_seq : int;     (** its sender-side sequence number *)
 }
 
-type t = {
-  app : string;
-  compile : unit -> Minic.Codegen.compiled;
-  hosts : host list;
-  mutable antibody : (int * Antibody.t) option;  (** generation, bundle *)
-  mutable generation : int;
-  mutable corpus : string list;
-      (** confirmed exploit payloads observed community-wide *)
-  verify_before_deploy : bool;
-  stats : stats;
-  metrics : Obs.Metrics.t;
-      (** the registry counters publish into — per-shard in sharded runs *)
-  mutable infections : infection list;
-      (** ground-truth infection log, newest first *)
-  mutable ab_origin : ab_origin option;
-      (** provenance of the first antibody (local analysis or adopted) *)
-  mutable statics : (Osim.Process.t * Static_an.Staint.t) option;
-      (** lazily-built reference copy of the application plus its static
-          taint analysis, for validating published antibodies (the
-          process carries its interval analysis in
-          [Osim.Process.absint]); fixed-seed, so all shards agree *)
-}
-
-val create :
-  ?verify_before_deploy:bool ->
-  ?metrics:Obs.Metrics.t ->
-  ?template_pool:int ->
-  app:string ->
-  compile:(unit -> Minic.Codegen.compiled) ->
-  n:int ->
-  producers:int ->
-  seed:int ->
-  unit ->
-  t
-(** A community of [n] hosts; the first [producers] run the full stack.
-    Every host gets an independent randomized layout derived from [seed].
-    Hosts are instantiated from a pool of [template_pool] pre-loaded
-    {!Osim.Process.template}s (one full load pipeline per distinct layout
-    seed, then copy-on-write clones), which keeps per-host creation cost
-    flat at large [n] while matching the per-seed load exactly. *)
-
-val publish : t -> Antibody.t -> bool
-(** Publish an antibody — after validation. Two static bars always
-    apply: every [Heap_bounds]/[Store_guard] pc must be a statically
-    feasible unsafe write ({!Antibody.validate_feasible}) and every
-    taint-filter pc must lie in the static may-propagate set
-    ({!Antibody.validate_static}); with [verify_before_deploy] the
-    bundle is additionally sandbox-verified by exploit replay. Returns
-    acceptance; rejections count in [sweeper_antibody_rejected_total]
-    with a [reason] label (["static-infeasible"], ["pcs-outside-S"],
-    ["replay-failed"]). *)
-
-val record_exploit_sample : t -> string -> unit
-(** Record a confirmed exploit payload (the original crash input or a
-    VSEF-blocked variant). With two or more distinct samples the signature
-    is refined from exact-match to a token signature covering the family,
-    and the antibody is republished. Refinement saturates after a small
-    corpus cap — token signatures converge within a handful of diverse
-    variants, and refining on every variant of a large outbreak would
-    redeploy VSEFs community-wide O(n^2) times. *)
-
-type delivery =
-  | Served
-  | Blocked of string      (** input filter or VSEF stopped it *)
-  | Detected_and_analyzed  (** producer ran the pipeline; antibody published *)
-  | Crashed_consumer       (** consumer detected the attack; recovered only *)
-  | Infected of string
-
-val deliver : t -> host -> string -> delivery
-(** Deliver one message to one host, with the full community behaviour:
-    antibody sync, producer-side analysis on detection, consumer-side
-    rollback recovery. *)
-
-val run_scheduled :
-  ?quantum:int -> t -> traffic:(host -> string list) -> Osim.Sched.t
-(** Run traffic through the cooperative scheduler: every uninfected host
-    becomes a task, [traffic] fills its inbox, and service, crashes,
-    producer analysis, recovery, and antibody propagation interleave in
-    simulated time until quiescent. Returns the scheduler for inspection
-    (virtual clock, instruction counts). *)
-
-val worm_round : ?quantum:int -> t -> exploit_for:(host -> string list) -> unit
-(** The worm attacks every uninfected host once; [exploit_for] builds the
-    per-host attack stream (fresh address guess per host). The round's
-    deliveries run interleaved on the scheduler. *)
-
-val infected_count : t -> int
-
-val register_metrics : t -> Obs.Metrics.t -> unit
-(** Register the community's population-level statistics (attempts,
-    infections, detections, blocked attacks, analyses, first-antibody
-    latency) as pull-gauges in a metrics registry. *)
-
-val infection_ratio : t -> float
-
-val all_alive : t -> bool
-(** Every uninfected host still answers a trivial request. *)
-
 (** The domain-sharded community: hosts partitioned across shards, each
-    shard a single-threaded {!Osim.Sched} with its own PRNG stream and
+    shard a single-threaded {!Osim.Sched} with its own defense state and
     {!Obs.Metrics} registry, executed in lockstep windows by
     {!Osim.Cluster}. Antibody knowledge crosses shards only as envelope
     values at virtual-clock barriers, so [domains = N] and [domains = 1]
@@ -203,6 +99,10 @@ module Sharded : sig
 
   val infected_count : community -> int
 
+  val all_alive : community -> bool
+  (** Every uninfected host still answers a trivial request. Serves a
+      ["noop"] on each live host, so call it after the last round. *)
+
   val post_traffic : community -> traffic:(host -> string list) -> unit
   (** Queue one round of externally-injected traffic on every uninfected
       host's inbox. Call between rounds, on the calling domain. *)
@@ -227,8 +127,12 @@ module Sharded : sig
       mail is in flight. *)
 
   val merged_metrics : community -> Obs.Metrics.sample list
-  (** The community-level metric samples merged from every shard's
-      registry at the most recent barrier. *)
+  (** The community-level metric samples at the most recent barrier.
+      Counts merged from every shard's registry add up (including the
+      [sweeper_sched_*] counts and [sweeper_antibody_rejected_total]);
+      [sweeper_sched_vclock_ms] is the latest shard clock and
+      [sweeper_community_first_antibody_ms] the analysis latency (wall
+      ms, [-1] before any) of the earliest local publication. *)
 
   (** Everything the differential oracle compares, plus run statistics.
       All times are virtual (simulated ms); wall-clock never appears. *)

@@ -296,8 +296,8 @@ let unparks t = t.unparks
 let backpressures t = t.backpressures
 let tasks t = List.rev t.tasks
 
-(** Register scheduler-wide gauges (turns, instructions, parks/unparks,
-    virtual clock) in a metrics registry. *)
+(** Register the scheduler's counts as gauges; the virtual clock does not
+    add up across schedulers, so merging drivers export it themselves. *)
 let register_metrics t registry =
   let gauge name help f =
     Obs.Metrics.gauge_fn ~registry ~help name (fun () -> float_of_int (f ()))
@@ -309,9 +309,7 @@ let register_metrics t registry =
   gauge "sweeper_sched_unparks" "parked tasks returned to service" (fun () ->
       t.unparks);
   gauge "sweeper_sched_backpressures" "step_until stops on a full outbox"
-    (fun () -> t.backpressures);
-  Obs.Metrics.gauge_fn ~registry ~help:"scheduler virtual clock (simulated ms)"
-    "sweeper_sched_vclock_ms" (fun () -> t.vclock_ms)
+    (fun () -> t.backpressures)
 
 let event_outcome = function
   | Filtered _ -> "filtered"

@@ -148,8 +148,10 @@ val backpressures : t -> int
 (** Times {!step_until} stopped on a full outbox. *)
 
 val register_metrics : t -> Obs.Metrics.t -> unit
-(** Register scheduler-wide gauges (turns, instructions, parks/unparks,
-    virtual clock) in a metrics registry. *)
+(** Register the scheduler's counts (turns, instructions, parks/unparks,
+    backpressure stops) as gauges in a metrics registry. Each adds up
+    across schedulers; the virtual clock does not, so a driver that
+    merges several schedulers' registries exports it itself. *)
 
 val tasks : t -> task list
 (** All registered tasks, in registration order. *)

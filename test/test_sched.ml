@@ -122,59 +122,149 @@ let test_virtual_clock_advances () =
 
 (* ------------------------------------------------------------------ *)
 (* Mid-stream attack: one host is exploited while the others serve     *)
-(* benign traffic; the scheduled community must end in the same state  *)
-(* as delivering every stream sequentially.                            *)
+(* benign traffic; a one-shard community must end in the same state    *)
+(* as the serial oracle (Oracle.Community) delivering every stream in  *)
+(* turn. Only host 0 is attacked: with a second attacked host, when    *)
+(* the antibody reaches it legitimately differs between the runs.      *)
 (* ------------------------------------------------------------------ *)
 
-let benign = workload 3
+module Sh = Sweeper.Defense.Sharded
+module Oc = Oracle.Community
 
-let attack_stream =
-  benign
-  @ (Apps.Registry.exploit ~system_guess:0x12345678 ~cmd_ptr:0 "apache1")
-      .Apps.Exploits.x_messages
-  @ workload 2
+let exploit =
+  (Apps.Registry.exploit ~system_guess:0x12345678 ~cmd_ptr:0 "apache1")
+    .Apps.Exploits.x_messages
 
-let traffic (h : Sweeper.Defense.host) =
-  if h.Sweeper.Defense.h_id = 0 then attack_stream else benign
+let entry = Apps.Registry.find "apache1"
 
-let make_community () =
-  let entry = Apps.Registry.find "apache1" in
-  Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n:3
-    ~producers:1 ~seed:8100 ()
+let community ?quantum ~n ~producers () =
+  Sh.create ?quantum ~shards:1 ~app:"apache1" ~compile:entry.r_compile ~n
+    ~producers ~seed:8100 ()
 
-let host_outputs (c : Sweeper.Defense.t) =
+(* A merged sample's value, 0 when absent. *)
+let merged_value c name =
+  List.fold_left
+    (fun acc (m : Obs.Metrics.sample) ->
+      if m.Obs.Metrics.s_name <> name then acc
+      else
+        match m.Obs.Metrics.s_value with
+        | Obs.Metrics.Sample_counter k -> acc +. float_of_int k
+        | Obs.Metrics.Sample_gauge v -> acc +. v
+        | Obs.Metrics.Sample_histogram _ -> acc)
+    0. (Sh.merged_metrics c)
+
+let host_outputs hosts =
   List.map
     (fun (h : Sweeper.Defense.host) ->
       Osim.Process.committed_outputs h.Sweeper.Defense.h_proc)
-    c.Sweeper.Defense.hosts
+    hosts
+
+(* Run [traffic] through the serial oracle and through a one-shard
+   community with [quantum], then a probe round (one benign message and
+   the exploit again, on every host) that makes each host sync the
+   newest antibody: the probe is filtered by the signature wherever one
+   was deployed. Asserts the two end states agree. *)
+let differential ~quantum ~n ~producers ~traffic =
+  let ser = Oc.create ~app:"apache1" ~compile:entry.r_compile
+      (Sh.hosts (community ~n ~producers ()))
+  in
+  let sch = community ~quantum ~n ~producers () in
+  let sch_round traffic =
+    Sh.post_traffic sch ~traffic;
+    ignore (Sh.run_round sch);
+    Sh.summary sch
+  in
+  Oc.run ser ~traffic;
+  let s = sch_round traffic in
+  check_int "nobody infected (serial)" 0 (Oc.infected_count ser);
+  check_int "nobody infected (sharded)" 0 s.Sh.sm_infected_hosts;
+  check_bool "identical per-host outputs" true
+    (host_outputs ser.Oc.hosts = host_outputs (Sh.hosts sch));
+  let same_counts (s : Sh.summary) =
+    let st = ser.Oc.stats in
+    check_int "same attempts" st.Oc.s_attempts s.Sh.sm_attempts;
+    check_int "same crashes" st.Oc.s_crashes s.Sh.sm_crashes;
+    check_int "same analyses" st.Oc.s_analyses s.Sh.sm_analyses;
+    check_int "same blocked" st.Oc.s_blocked s.Sh.sm_blocked;
+    check_int "same infections" st.Oc.s_infections s.Sh.sm_infections
+  in
+  same_counts s;
+  check_int "same antibody generation" ser.Oc.generation
+    (int_of_float (merged_value sch "sweeper_antibodies_published_total"));
+  check_bool "serial antibody iff a producer" (producers > 0)
+    (ser.Oc.antibody <> None);
+  check_bool "sharded antibody iff a producer" (producers > 0)
+    (s.Sh.sm_first_antibody_vtime_ms <> None);
+  let probe _ = workload 1 @ exploit in
+  Oc.run ser ~traffic:probe;
+  let s = sch_round probe in
+  same_counts s;
+  List.iter2
+    (fun (a : Sweeper.Defense.host) (b : Sweeper.Defense.host) ->
+      let id = a.Sweeper.Defense.h_id in
+      check_int
+        (Printf.sprintf "host %d generation" id)
+        a.Sweeper.Defense.h_deployed b.Sweeper.Defense.h_deployed;
+      check_int
+        (Printf.sprintf "host %d vsef count" id)
+        (List.length a.Sweeper.Defense.h_installed)
+        (List.length b.Sweeper.Defense.h_installed);
+      let drops (h : Sweeper.Defense.host) =
+        Osim.Netlog.dropped_count h.Sweeper.Defense.h_proc.Osim.Process.net
+      in
+      check_int (Printf.sprintf "host %d signature drops" id) (drops a) (drops b);
+      check_bool
+        (Printf.sprintf "host %d signature caught the probe" id)
+        (producers > 0)
+        (drops b > 0))
+    ser.Oc.hosts (Sh.hosts sch);
+  check_bool "identical per-host outputs after the probe" true
+    (host_outputs ser.Oc.hosts = host_outputs (Sh.hosts sch));
+  check_bool "serial community still serves" true (Oc.all_alive ser);
+  check_bool "sharded community still serves" true (Sh.all_alive sch)
+
+let benign = workload 3
 
 let test_mid_stream_attack_matches_sequential () =
-  let open Sweeper.Defense in
-  let seq = make_community () in
-  List.iter
-    (fun h -> List.iter (fun m -> ignore (deliver seq h m)) (traffic h))
-    seq.hosts;
-  let sch = make_community () in
-  ignore (run_scheduled ~quantum:700 sch ~traffic);
-  check_int "nobody infected (sequential)" 0 (infected_count seq);
-  check_int "nobody infected (scheduled)" 0 (infected_count sch);
-  check_bool "identical per-host outputs" true
-    (host_outputs seq = host_outputs sch);
-  check_int "same attempts" seq.stats.s_attempts sch.stats.s_attempts;
-  check_int "same crashes" seq.stats.s_crashes sch.stats.s_crashes;
-  check_int "same analyses" seq.stats.s_analyses sch.stats.s_analyses;
-  check_int "same blocked" seq.stats.s_blocked sch.stats.s_blocked;
-  check_int "same infections" seq.stats.s_infections sch.stats.s_infections;
-  (match (seq.antibody, sch.antibody) with
-  | Some (g1, a1), Some (g2, a2) ->
-    check_int "same antibody generation" g1 g2;
-    check_bool "same signature" true
-      (a1.Sweeper.Antibody.ab_signature = a2.Sweeper.Antibody.ab_signature);
-    check_int "same vsef count"
-      (List.length a1.Sweeper.Antibody.ab_vsefs)
-      (List.length a2.Sweeper.Antibody.ab_vsefs)
-  | _ -> Alcotest.fail "both runs must publish an antibody");
-  check_bool "scheduled community still serves" true (all_alive sch)
+  let traffic (h : Sweeper.Defense.host) =
+    if h.Sweeper.Defense.h_id = 0 then benign @ exploit @ workload 2
+    else benign
+  in
+  differential ~quantum:700 ~n:3 ~producers:1 ~traffic
+
+(* The same equality over drawn quanta, host counts, producer counts,
+   benign stream lengths, and the exploit's position in host 0's stream. *)
+let prop_mid_stream_attack =
+  let gen =
+    QCheck.Gen.(
+      let* quantum = int_range 60 5_000 in
+      let* n = int_range 2 6 in
+      let* producers = int_range 0 1 in
+      let* lens = list_repeat n (int_range 0 4) in
+      let* pos = int_range 0 (List.hd lens) in
+      return (quantum, producers, lens, pos))
+  in
+  let print (quantum, producers, lens, pos) =
+    Printf.sprintf "quantum %d, producers %d, streams [%s], exploit at %d"
+      quantum producers
+      (String.concat ";" (List.map string_of_int lens))
+      pos
+  in
+  QCheck.Test.make ~count:12
+    ~name:"one-shard community = serial oracle over random streams"
+    (QCheck.make ~print gen)
+    (fun (quantum, producers, lens, pos) ->
+      let streams = Array.of_list (List.map workload lens) in
+      let traffic (h : Sweeper.Defense.host) =
+        let w = streams.(h.Sweeper.Defense.h_id) in
+        if h.Sweeper.Defense.h_id = 0 then
+          List.filteri (fun i _ -> i < pos) w
+          @ exploit
+          @ List.filteri (fun i _ -> i >= pos) w
+        else w
+      in
+      differential ~quantum ~n:(List.length lens) ~producers ~traffic;
+      true)
 
 (* ------------------------------------------------------------------ *)
 
@@ -192,8 +282,6 @@ let prop_interleaving_is_invisible =
 (* icounts, the infection/crash event log, and the first-antibody      *)
 (* virtual time. This is the differential oracle for Osim.Cluster.     *)
 (* ------------------------------------------------------------------ *)
-
-module Sh = Sweeper.Defense.Sharded
 
 (* Attack bytes as a pure function of (seed, host, round): both runs of
    an oracle pair see byte-identical traffic regardless of sharding. *)
@@ -353,6 +441,36 @@ let test_malicious_antibody_round () =
     (s2.Sh.sm_first_antibody_vtime_ms <> None);
   check_bool "another shard adopted it" true (s2.Sh.sm_adoptions <> [])
 
+(* Merged community gauges that do not add up across shards: the virtual
+   clock is the latest shard clock, not the sum of four, and the first
+   antibody's analysis latency keeps its -1 "none yet" sentinel instead
+   of summing one per shard. The counts stay sums. *)
+let test_merged_gauges_across_shards () =
+  let go ~shards ~producers =
+    let c =
+      Sh.create ~domains:1 ~shards ~app:"apache1" ~compile:entry.r_compile
+        ~n:8 ~producers ~seed:4242 ()
+    in
+    Sh.post_traffic c ~traffic:(fun h ->
+        workload 2 @ attack_for ~seed:4242 ~round:1 h);
+    ignore (Sh.run_round c);
+    c
+  in
+  let one = go ~shards:1 ~producers:1 and four = go ~shards:4 ~producers:1 in
+  let vclock c = merged_value c "sweeper_sched_vclock_ms" in
+  check_bool "virtual clock moved" true (vclock one > 0.);
+  check_bool "4-shard clock is not a sum of shard clocks" true
+    (vclock four < 2. *. vclock one);
+  check_bool "first antibody latency is one analysis" true
+    (merged_value four "sweeper_community_first_antibody_ms" > 0.);
+  check_bool "no antibody reads -1 at 4 shards" true
+    (merged_value (go ~shards:4 ~producers:0)
+       "sweeper_community_first_antibody_ms"
+    = -1.);
+  check_int "instruction count sums over shards"
+    (Sh.summary four).Sh.sm_instructions
+    (int_of_float (merged_value four "sweeper_sched_instructions"))
+
 (* Deterministic qcheck runs by default; QCHECK_SEED overrides. *)
 let qcheck_rand () =
   let seed =
@@ -378,6 +496,7 @@ let () =
         [
           Alcotest.test_case "mid-stream attack matches sequential" `Quick
             test_mid_stream_attack_matches_sequential;
+          qt prop_mid_stream_attack;
         ] );
       ( "sharded",
         [
@@ -387,6 +506,8 @@ let () =
             test_backpressure_and_mailbox_bounds;
           Alcotest.test_case "malicious antibody rejected, legitimate adopted"
             `Quick test_malicious_antibody_round;
+          Alcotest.test_case "merged gauges across shards" `Quick
+            test_merged_gauges_across_shards;
           qt prop_sharded_oracle;
         ] );
     ]

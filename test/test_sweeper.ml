@@ -720,6 +720,8 @@ let test_forward_slice_from_input () =
 (* Community defense (mechanical)                                      *)
 (* ------------------------------------------------------------------ *)
 
+module Sh = Sweeper.Defense.Sharded
+
 let community_exploit_for rng (host : Sweeper.Defense.host) =
   ignore host;
   let slide_guess = Random.State.int rng 4096 * 4096 in
@@ -730,34 +732,50 @@ let community_exploit_for rng (host : Sweeper.Defense.host) =
   in
   exploit.Apps.Exploits.x_messages
 
+(* One round: queue [traffic] on every uninfected host and run the
+   community to quiescence. *)
+let community_round c ~traffic =
+  Sh.post_traffic c ~traffic;
+  ignore (Sh.run_round c);
+  Sh.summary c
+
+(* A merged counter's value, summed over its label sets. *)
+let merged_count ?labels c name =
+  List.fold_left
+    (fun acc (m : Obs.Metrics.sample) ->
+      match m.Obs.Metrics.s_value with
+      | Obs.Metrics.Sample_counter k
+        when m.Obs.Metrics.s_name = name
+             && Option.fold ~none:true ~some:(( = ) m.Obs.Metrics.s_labels) labels ->
+        acc + k
+      | _ -> acc)
+    0 (Sh.merged_metrics c)
+
 let test_defense_community_contains_worm () =
   let entry = Apps.Registry.find "apache1" in
   let community =
-    Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n:10
-      ~producers:2 ~seed:7000 ()
+    Sh.create ~app:"apache1" ~compile:entry.r_compile ~n:10 ~producers:2
+      ~seed:7000 ()
   in
   let rng = Random.State.make [| 99 |] in
   for _round = 1 to 3 do
-    Sweeper.Defense.worm_round community
-      ~exploit_for:(community_exploit_for rng)
+    ignore (community_round community ~traffic:(community_exploit_for rng))
   done;
-  check_int "nobody infected" 0 (Sweeper.Defense.infected_count community);
-  check_bool "antibody was produced" true (community.Sweeper.Defense.antibody <> None);
-  check_bool "attacks were blocked" true
-    (community.Sweeper.Defense.stats.Sweeper.Defense.s_blocked > 0);
-  check_bool "community still serves" true (Sweeper.Defense.all_alive community)
+  let s = Sh.summary community in
+  check_int "nobody infected" 0 s.Sh.sm_infected_hosts;
+  check_bool "antibody was produced" true
+    (s.Sh.sm_first_antibody_vtime_ms <> None);
+  check_bool "attacks were blocked" true (s.Sh.sm_blocked > 0);
+  check_bool "community still serves" true (Sh.all_alive community)
 
 let test_defense_verification_path () =
   let entry = Apps.Registry.find "apache1" in
   let community =
-    Sweeper.Defense.create ~verify_before_deploy:true ~app:"apache1"
+    Sh.create ~verify_before_deploy:true ~app:"apache1"
       ~compile:entry.r_compile ~n:4 ~producers:1 ~seed:7100 ()
   in
-  let rng = Random.State.make [| 7 |] in
-  Sweeper.Defense.worm_round community ~exploit_for:(community_exploit_for rng);
-  check_bool "verified antibody accepted" true
-    (community.Sweeper.Defense.antibody <> None);
-  (* A bogus antibody is rejected by the verification gate. *)
+  (* A bogus antibody is rejected by the verification gate: its exploit
+     input is innocent, so the replay does not misbehave. *)
   let bogus =
     {
       Sweeper.Antibody.ab_app = "apache1";
@@ -767,7 +785,14 @@ let test_defense_verification_path () =
       ab_exploit_input = Some [ "GET /innocent\n" ];
     }
   in
-  check_bool "bogus rejected" false (Sweeper.Defense.publish community bogus)
+  Sh.inject_antibody community bogus;
+  let rng = Random.State.make [| 7 |] in
+  let s = community_round community ~traffic:(community_exploit_for rng) in
+  check_int "bogus rejected" 1
+    (merged_count community "sweeper_antibody_rejected_total"
+       ~labels:[ ("reason", "replay-failed") ]);
+  check_bool "verified antibody accepted" true
+    (s.Sh.sm_first_antibody_vtime_ms <> None)
 
 let test_defense_signature_refinement () =
   (* Wave 1: canonical exploit -> analysis, exact signature. Wave 2: a
@@ -776,10 +801,9 @@ let test_defense_signature_refinement () =
      Wave 3: a third, fresh variant is now filtered at the proxy. *)
   let entry = Apps.Registry.find "squid" in
   let community =
-    Sweeper.Defense.create ~app:"squid" ~compile:entry.r_compile ~n:1
-      ~producers:1 ~seed:7300 ()
+    Sh.create ~app:"squid" ~compile:entry.r_compile ~n:1 ~producers:1
+      ~seed:7300 ()
   in
-  let host = List.hd community.Sweeper.Defense.hosts in
   (* Waves 0 and 1 differ in payload characters, so the common tokens are
      the structural parts ("GET ftp://", the host suffix); wave 2 then
      varies only the length and must match the token signature. *)
@@ -788,27 +812,35 @@ let test_defense_signature_refinement () =
       .Apps.Exploits.x_messages
   in
   let wave = function 0 -> wave 0 | 1 -> wave 2 | _ -> wave 1 in
-  (match List.map (Sweeper.Defense.deliver community host) (wave 0) with
-  | [ Sweeper.Defense.Detected_and_analyzed ] -> ()
+  (* The event kinds one wave added to the community's log, sorted. The
+     log is sorted by vtime, and a rollback rewinds a host's clock, so a
+     wave's events need not follow the previous wave's. *)
+  let seen = ref [] in
+  let run_wave k =
+    let s = community_round community ~traffic:(fun _ -> wave k) in
+    let rec drop e = function
+      | [] -> []
+      | x :: xs -> if x = e then xs else x :: drop e xs
+    in
+    let fresh =
+      List.fold_left (fun acc e -> drop e acc) s.Sh.sm_events !seen
+    in
+    seen := s.Sh.sm_events;
+    List.sort compare (List.map (fun (_, _, kind) -> kind) fresh)
+  in
+  (match run_wave 0 with
+  | [ "antibody-published"; "crashed" ] -> ()
   | _ -> Alcotest.fail "wave 1 should be analyzed");
-  (match List.map (Sweeper.Defense.deliver community host) (wave 1) with
-  | [ Sweeper.Defense.Blocked "vsef" ] -> ()
-  | [ Sweeper.Defense.Blocked other ] ->
-    Alcotest.fail ("wave 2 blocked by " ^ other ^ ", expected the VSEF")
+  (match run_wave 1 with
+  | [ "vetoed" ] -> ()
+  | [ other ] -> Alcotest.fail ("wave 2 ended in " ^ other ^ ", expected the VSEF")
   | _ -> Alcotest.fail "wave 2 should be VSEF-blocked");
-  check_int "corpus has two samples" 2
-    (List.length community.Sweeper.Defense.corpus);
-  (match community.Sweeper.Defense.antibody with
-  | Some (gen, ab) ->
-    check_bool "republished" true (gen >= 2);
-    (match ab.Sweeper.Antibody.ab_signature with
-    | Some (Sweeper.Signature.Tokens _) -> ()
-    | _ -> Alcotest.fail "signature not refined to tokens")
-  | None -> Alcotest.fail "no antibody");
-  match List.map (Sweeper.Defense.deliver community host) (wave 2) with
-  | [ Sweeper.Defense.Blocked name ] when name <> "vsef" ->
+  check_int "republished after refinement" 2
+    (merged_count community "sweeper_antibodies_published_total");
+  match run_wave 2 with
+  | [ "filtered:antibody-squid" ] ->
     ()  (* filtered at the proxy before reaching the process *)
-  | [ Sweeper.Defense.Blocked "vsef" ] ->
+  | [ "vetoed" ] ->
     Alcotest.fail "wave 3 reached the process; token signature missed it"
   | _ -> Alcotest.fail "wave 3 should be filtered"
 
@@ -817,19 +849,18 @@ let test_defense_consumer_only_community_survives_detection () =
      monitoring + rollback still keeps consumers alive (DoS, not takeover). *)
   let entry = Apps.Registry.find "apache1" in
   let community =
-    Sweeper.Defense.create ~app:"apache1" ~compile:entry.r_compile ~n:5
-      ~producers:0 ~seed:7200 ()
+    Sh.create ~app:"apache1" ~compile:entry.r_compile ~n:5 ~producers:0
+      ~seed:7200 ()
   in
   let rng = Random.State.make [| 13 |] in
   for _round = 1 to 2 do
-    Sweeper.Defense.worm_round community
-      ~exploit_for:(community_exploit_for rng)
+    ignore (community_round community ~traffic:(community_exploit_for rng))
   done;
+  let s = Sh.summary community in
   check_bool "no antibody without producers" true
-    (community.Sweeper.Defense.antibody = None);
-  check_bool "crashes were absorbed" true
-    (community.Sweeper.Defense.stats.Sweeper.Defense.s_crashes > 0);
-  check_bool "consumers recovered" true (Sweeper.Defense.all_alive community)
+    (s.Sh.sm_first_antibody_vtime_ms = None);
+  check_bool "crashes were absorbed" true (s.Sh.sm_crashes > 0);
+  check_bool "consumers recovered" true (Sh.all_alive community)
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline driver regressions                                         *)
